@@ -17,6 +17,8 @@ and all round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import SuperpixelPartition, check_image, check_label_map
@@ -170,7 +172,7 @@ def read_mspt(path: str) -> np.ndarray:
     )
     if any(d < 1 for d in dims):
         raise FormatError(f"every dim must be >= 1, got {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     payload = data[dims_end:]
     if len(payload) != count * 4:
         raise FormatError(

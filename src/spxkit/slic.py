@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage as ndi
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .core import SuperpixelPartition, relabel_contiguous
 
 __all__ = ["SlicParams", "enforce_connectivity", "slic_segment"]
-
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -225,16 +224,18 @@ def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
 def _components_first_appearance(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """4-connected components of equal-label regions.
 
-    Component ids are assigned in row-major first-appearance order.
+    One connected-components pass over the graph whose edges join
+    4-adjacent pixels of equal label. Component ids are assigned in
+    row-major first-appearance order.
     """
-    comp = np.full(labels.shape, -1, dtype=np.int64)
-    offset = 0
-    for v in np.unique(labels):
-        mask = labels == v
-        lbl, n = ndi.label(mask, structure=_FOUR_CONN)
-        comp[mask] = lbl[mask] + (offset - 1)
-        offset += n
-    flat = comp.ravel()
+    h, w = labels.shape
+    idx = np.arange(h * w).reshape(h, w)
+    right = labels[:, :-1] == labels[:, 1:]
+    down = labels[:-1, :] == labels[1:, :]
+    src = np.concatenate([idx[:, :-1][right], idx[:-1, :][down]])
+    dst = np.concatenate([idx[:, 1:][right], idx[1:, :][down]])
+    graph = coo_matrix((np.ones_like(src), (src, dst)), shape=(h * w, h * w))
+    _, flat = connected_components(graph, directed=False)
     uniq, first = np.unique(flat, return_index=True)
     order = np.argsort(first)
     rank = np.empty(uniq.size, dtype=np.int64)
@@ -276,9 +277,14 @@ def enforce_connectivity(
     Every connected component becomes its own block; components smaller
     than ``min_size`` are merged into the adjacent region sharing the
     longest border (ties: smallest component id in row-major
-    first-appearance order). Small components are processed in ascending
-    id order, and merges accumulate, so a fragment absorbed early still
-    follows its host through later merges.
+    first-appearance order). Merges accumulate, so a fragment absorbed
+    early still follows its host through later merges.
+
+    One ascending sweep over component ids merges ``r`` if it is still a
+    root, below ``min_size`` and has a neighbour. This equals always
+    merging the smallest eligible root: merges only grow sizes and
+    neighbour maps only name roots, so a root the sweep has passed can
+    never become eligible again.
     """
     arr = np.asarray(raw_labels)
     if arr.ndim != 2 or arr.size == 0:
@@ -288,22 +294,9 @@ def enforce_connectivity(
     neighbors = _border_neighbors(comp, ncomp)
 
     parent = np.arange(ncomp)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return int(i)
-
-    while True:
-        small = [
-            r
-            for r in range(ncomp)
-            if find(r) == r and sizes[r] < min_size and neighbors[r]
-        ]
-        if not small:
-            break
-        r = small[0]
+    for r in range(ncomp):
+        if parent[r] != r or sizes[r] >= min_size or not neighbors[r]:
+            continue
         target = max(neighbors[r].items(), key=lambda kv: (kv[1], -kv[0]))[0]
         parent[r] = target
         sizes[target] += sizes[r]
@@ -317,5 +310,7 @@ def enforce_connectivity(
         neighbors[target].pop(r, None)
         neighbors[r] = {}
 
-    roots = np.array([find(i) for i in range(ncomp)])
-    return relabel_contiguous(roots[comp])
+    # Each merge pointed at a root, so pointer jumping ends at the roots.
+    while not np.array_equal(parent[parent], parent):
+        parent = parent[parent]
+    return relabel_contiguous(parent[comp])

@@ -231,6 +231,17 @@ class TestMetrics:
                                   "--classes", "2"])
         assert code == 2
 
+    def test_mspt_dims_overflowing_int64_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "huge.mspt"
+        dims = (2**31, 2**31, 4, 1)
+        bad.write_bytes(b"MSPT\x01\x01\x04" + b"".join(
+            d.to_bytes(4, "little") for d in dims))
+        gt = self.write_labels(tmp_path, "gt.mspt", [[0, 1]])
+        code, _, err = run(capsys, ["metrics", "--pred", str(bad), "--gt", gt,
+                                    "--classes", "2"])
+        assert code == 2
+        assert "payload" in err
+
 
 class TestSpxEval:
     def test_nested_partition_ue_zero(self, capsys, tmp_path):

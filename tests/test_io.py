@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spxkit import (
     FormatError,
@@ -15,6 +17,13 @@ from spxkit import (
 )
 
 MSPT_SCALAR_ZERO = bytes.fromhex("4d53505401000101000000" + "00000000")
+# dims (2, 3) float32, six payload floats
+MSPT_2X3 = (
+    b"MSPT\x01\x00\x02"
+    + (2).to_bytes(4, "little")
+    + (3).to_bytes(4, "little")
+    + np.arange(6, dtype="<f4").tobytes()
+)
 
 
 class TestPpm:
@@ -141,6 +150,48 @@ class TestMspt:
         path.write_bytes(MSPT_SCALAR_ZERO[:-1])
         with pytest.raises(FormatError, match="payload"):
             read_mspt(str(path))
+
+    def test_dims_product_overflowing_int64_rejected(self, tmp_path):
+        # 2^31 * 2^31 * 4 = 2^64 elements wraps to 0 in int64 arithmetic,
+        # which an empty payload would match.
+        path = tmp_path / "huge.mspt"
+        dims = (2**31, 2**31, 4, 1)
+        header = b"MSPT\x01\x00\x04" + b"".join(
+            d.to_bytes(4, "little") for d in dims
+        )
+        path.write_bytes(header)
+        with pytest.raises(FormatError, match="payload"):
+            read_mspt(str(path))
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cut=st.integers(0, len(MSPT_2X3)),
+        edits=st.lists(
+            st.tuples(st.integers(0, 14), st.integers(0, 255)), max_size=4
+        ),
+    )
+    def test_garbled_or_truncated_header_raises_only_format_error(
+        self, tmp_path, cut, edits
+    ):
+        data = bytearray(MSPT_2X3)
+        for pos, value in edits:
+            data[pos] = value
+        path = tmp_path / "fuzz.mspt"
+        path.write_bytes(bytes(data[:cut]))
+        try:
+            arr = read_mspt(str(path))
+        except FormatError:
+            return
+        ndim = data[6]
+        dims = tuple(
+            int.from_bytes(data[7 + 4 * i : 11 + 4 * i], "little") for i in range(ndim)
+        )
+        assert arr.shape == dims
+        assert arr.size * 4 == cut - (7 + 4 * ndim)
 
     def test_write_rejects_other_dtypes(self, tmp_path):
         with pytest.raises(ValueError, match="dtype"):

@@ -178,3 +178,49 @@ class TestEnforceConnectivity:
             comp, _ = flood_fill_components(part.labels)
             for k in range(part.num_blocks):
                 assert np.unique(comp[part.labels == k]).size == 1
+
+    def test_single_component_returned_unchanged(self):
+        labels = np.zeros((5, 7), dtype=np.int64)
+        part = enforce_connectivity(labels, min_size=100)
+        assert part.num_blocks == 1
+        assert np.array_equal(part.labels, labels)
+        assert part.block_sizes.tolist() == [35]
+
+    def test_min_size_above_pixel_count_collapses_to_one_block(self):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 5, (6, 5))
+        part = enforce_connectivity(labels, min_size=31)
+        assert part.num_blocks == 1
+        assert part.block_sizes.tolist() == [30]
+
+    def test_chained_absorption_follows_host(self):
+        # A (2 px) joins B (border 2 vs 1 with C); B+A (6 px) then joins
+        # C, so A's pixels end in C while D stays on its own.
+        labels = np.array(
+            [
+                [0, 1, 1, 2, 2, 3, 3, 3],
+                [0, 1, 1, 2, 2, 3, 3, 3],
+                [2, 2, 2, 2, 2, 3, 3, 3],
+            ]
+        )
+        part = enforce_connectivity(labels, min_size=7)
+        assert part.num_blocks == 2
+        assert part.labels[0, 0] == part.labels[0, 1] == part.labels[2, 0]
+        assert part.labels[0, 0] != part.labels[0, 7]
+        assert part.block_sizes.tolist() == [15, 9]
+
+    def test_strips_both_orientations(self):
+        # the lone 1 ties (border 1 each side) and joins the left run
+        row = np.array([[0, 0, 1, 2, 2, 2, 1, 1]])
+        want = [[0, 0, 0, 1, 1, 1, 2, 2]]
+        assert enforce_connectivity(row, min_size=2).labels.tolist() == want
+        col = enforce_connectivity(row.T, min_size=2)
+        assert col.labels.tolist() == np.array(want).T.tolist()
+        assert col.block_sizes.tolist() == [3, 3, 2]
+
+    def test_equal_borders_go_to_smallest_component_id(self):
+        # (1,0) touches components 0, 2 and 3 once each and joins 0; the
+        # centre then has border 2 with both 0 and 3 and also joins 0.
+        labels = np.array([[1, 1, 1], [2, 0, 3], [3, 3, 3]])
+        part = enforce_connectivity(labels, min_size=2)
+        assert part.labels.tolist() == [[0, 0, 0], [0, 0, 1], [1, 1, 1]]
