@@ -15,7 +15,6 @@ The library groups into:
 
 from .color import srgb_to_lab
 from .core import (
-    SCALES_COARSE,
     SCALES_DEFAULT,
     AlgorithmError,
     MspConfig,
@@ -71,7 +70,6 @@ __all__ = [
     "MetricsReport",
     "MspConfig",
     "QuickShiftParams",
-    "SCALES_COARSE",
     "SCALES_DEFAULT",
     "SlicParams",
     "SpxQualityReport",

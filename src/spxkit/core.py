@@ -9,7 +9,6 @@ import numpy as np
 __all__ = [
     "AlgorithmError",
     "MspConfig",
-    "SCALES_COARSE",
     "SCALES_DEFAULT",
     "SuperpixelPartition",
     "ValidationResult",
@@ -22,9 +21,6 @@ __all__ = [
 
 # Default multiscale schedule (block counts per stage, small to large).
 SCALES_DEFAULT = (200, 300, 400)
-# Coarser schedule for high-resolution inputs, where fewer and larger
-# blocks keep per-block statistics meaningful.
-SCALES_COARSE = (100, 200)
 
 
 class AlgorithmError(RuntimeError):

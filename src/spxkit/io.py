@@ -38,6 +38,9 @@ __all__ = [
 _MSPT_MAGIC = b"MSPT"
 _MSPT_VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<u4")}
+# Longest netpbm header integer accepted; far beyond any real size, and
+# short enough that int() never meets Python's digit limit.
+_NETPBM_MAX_DIGITS = 20
 
 
 class FormatError(Exception):
@@ -76,6 +79,11 @@ def _netpbm_tokens(data: bytes, start: int, count: int) -> tuple[list[int], int]
         if not tok.isdigit():
             raise FormatError(
                 f"expected an integer header token at byte offset {tok_start}"
+            )
+        if len(tok) > _NETPBM_MAX_DIGITS:
+            raise FormatError(
+                f"header integer of {len(tok)} digits at byte offset "
+                f"{tok_start} (at most {_NETPBM_MAX_DIGITS})"
             )
         tokens.append(int(tok))
         if len(tokens) == count:

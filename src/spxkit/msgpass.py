@@ -185,7 +185,10 @@ def cascade_apply(
 
 
 def _generate_partition(
-    lab: np.ndarray, scale: int, config: MspConfig
+    lab: np.ndarray,
+    scale: int,
+    config: MspConfig,
+    memo: dict[float, SuperpixelPartition],
 ) -> SuperpixelPartition:
     if config.algorithm == "slic":
         params = SlicParams(
@@ -199,7 +202,7 @@ def _generate_partition(
     params = QuickShiftParams(
         sigma=config.sigma, tau=config.tau, color_ratio=config.color_ratio
     )
-    return quickshift_match_scale(lab, params, scale)
+    return quickshift_match_scale(lab, params, scale, memo=memo)
 
 
 def cascade_forward(
@@ -209,8 +212,9 @@ def cascade_forward(
 
     Superpixels are generated per scale from the full-resolution image,
     reduced to feature resolution by majority vote, and applied to the
-    running tensor. Returns the final tensor and the trace of
-    feature-resolution partitions actually used.
+    running tensor. With Quick Shift, the scales share one sigma sweep:
+    each distinct sigma is segmented once per call. Returns the final
+    tensor and the trace of feature-resolution partitions actually used.
     """
     x = check_feature_map(features)
     img = check_image(image)
@@ -222,8 +226,9 @@ def cascade_forward(
         )
     lab = srgb_to_lab(img)
     stages = []
+    memo: dict[float, SuperpixelPartition] = {}  # Quick Shift sigma -> partition
     for scale in config.scales:
-        part_full = _generate_partition(lab, scale, config)
+        part_full = _generate_partition(lab, scale, config, memo)
         part = downsample_partition(part_full, h_f, w_f)
         x = message_pass(x, part, config.alpha)
         stages.append((scale, part))

@@ -45,13 +45,23 @@ class QuickShiftParams:
             )
 
 
-def _features(lab: np.ndarray, color_ratio: float) -> np.ndarray:
-    h, w = lab.shape[:2]
-    f = np.empty((h, w, 5))
-    f[..., :3] = lab * color_ratio
-    f[..., 3] = np.arange(w, dtype=np.float64)[None, :]
-    f[..., 4] = np.arange(h, dtype=np.float64)[:, None]
-    return f
+def _sq_dist(color: np.ndarray, a, b, dy: int, dx: int) -> np.ndarray:
+    """Squared 5-D feature distance from each pixel in ``a`` to its
+    (dy, dx) neighbour in ``b``.
+
+    ``color`` holds the three scaled Lab planes, shape (3, H, W). The
+    x/y differences are exactly dx and dy, so their squares are added
+    as scalars. Terms are summed in the order L, a, b, x, y: the order
+    in which ``ndarray.sum(axis=2)`` reduces a stacked (H, W, 5)
+    feature array, so the sums are the same floats.
+    """
+    diff = color[(slice(None), *b)] - color[(slice(None), *a)]
+    diff *= diff
+    d2 = diff[0] + diff[1]
+    d2 += diff[2]
+    d2 += dx * dx
+    d2 += dy * dy
+    return d2
 
 
 def _offset_slices(h: int, w: int, dy: int, dx: int):
@@ -69,8 +79,11 @@ def quickshift_segment(
     """Segment a Lab image by Quick Shift mode seeking.
 
     Deterministic: density sums accumulate per window offset in
-    row-major order, and distance ties between link candidates go to
-    the candidate with the smaller row-major index.
+    row-major order, distances sum their terms in a fixed order (see
+    ``_sq_dist``), and distance ties between link candidates go to
+    the candidate with the smaller row-major index. The link search
+    skips window offsets whose spatial distance alone exceeds tau; no
+    such offset can supply a link, so the labels are unchanged.
     """
     lab = np.asarray(lab, dtype=np.float64)
     if lab.ndim != 3 or lab.shape[2] != 3:
@@ -79,7 +92,7 @@ def quickshift_segment(
     if h < 2 or w < 2:
         raise ValueError(f"image must be at least 2x2, got {h}x{w}")
 
-    f = _features(lab, params.color_ratio)
+    color = np.moveaxis(lab * params.color_ratio, 2, 0).copy()
     radius = int(math.ceil(3.0 * params.sigma))
     inv_two_sigma2 = 1.0 / (2.0 * params.sigma**2)
 
@@ -89,8 +102,9 @@ def quickshift_segment(
             a, b = _offset_slices(h, w, dy, dx)
             if a[0].start >= a[0].stop or a[1].start >= a[1].stop:
                 continue
-            d2 = ((f[b] - f[a]) ** 2).sum(axis=2)
-            density[a] += np.exp(-d2 * inv_two_sigma2)
+            d2 = _sq_dist(color, a, b, dy, dx)
+            d2 *= -inv_two_sigma2
+            density[a] += np.exp(d2)
 
     idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
     best_d2 = np.full((h, w), np.inf)
@@ -98,12 +112,15 @@ def quickshift_segment(
     tau2 = params.tau**2
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
-            if dy == 0 and dx == 0:
+            # d2 adds dx*dx and dy*dy (exact integers) to the nonnegative
+            # colour terms, and rounding is monotone, so here
+            # d2 >= dx*dx + dy*dy > tau2 and ``take`` would be all False.
+            if (dy == 0 and dx == 0) or dy * dy + dx * dx > tau2:
                 continue
             a, b = _offset_slices(h, w, dy, dx)
             if a[0].start >= a[0].stop or a[1].start >= a[1].stop:
                 continue
-            d2 = ((f[b] - f[a]) ** 2).sum(axis=2)
+            d2 = _sq_dist(color, a, b, dy, dx)
             higher = (density[b] > density[a]) | (
                 (density[b] == density[a]) & (idx[b] < idx[a])
             )
@@ -124,21 +141,45 @@ def quickshift_segment(
 
 
 def quickshift_match_scale(
-    lab: np.ndarray, params: QuickShiftParams, target_blocks: int
+    lab: np.ndarray,
+    params: QuickShiftParams,
+    target_blocks: int,
+    *,
+    memo: dict[float, SuperpixelPartition] | None = None,
 ) -> SuperpixelPartition:
     """Sweep sigma downward until the block count reaches target_blocks / 2.
 
     Quick Shift has no direct block-count control, so sigma is shrunk
     geometrically (factor 0.8, at most 8 attempts) and the last result
-    is returned as-is even when the target is missed.
+    is returned as-is even when the target is missed; a miss emits a
+    ``UserWarning`` naming the target, the blocks delivered and the
+    final sigma.
+
+    ``memo`` maps sigma to the partition of ``lab`` under ``params``
+    with that sigma. The sweep reads a sigma from it before segmenting
+    and stores every new result in it, so calls that share one dict,
+    one image and one ``params`` (as the scales of one cascade do)
+    segment each sigma once. The sweep always starts at
+    ``params.sigma``, so repeated sigmas are equal floats.
     """
     if target_blocks < 1:
         raise ValueError(f"target_blocks must be >= 1, got {target_blocks}")
+    if memo is None:
+        memo = {}
     sigma = params.sigma
-    part = None
-    for _ in range(8):
-        part = quickshift_segment(lab, replace(params, sigma=sigma))
+    for attempt in range(8):
+        if attempt:
+            sigma *= 0.8
+        part = memo.get(sigma)
+        if part is None:
+            part = quickshift_segment(lab, replace(params, sigma=sigma))
+            memo[sigma] = part
         if part.num_blocks >= target_blocks / 2:
-            break
-        sigma *= 0.8
+            return part
+    warnings.warn(
+        f"Quick Shift missed its target: {part.num_blocks} blocks for a "
+        f"request of {target_blocks} (needs >= {target_blocks / 2:g}) "
+        f"at final sigma {sigma:g}",
+        stacklevel=2,
+    )
     return part

@@ -84,6 +84,16 @@ class TestSuperpixel:
         )
         assert code == 1
 
+    def test_huge_header_integer_exits_2(self, capsys, tmp_path):
+        big = tmp_path / "big.ppm"
+        big.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3))
+        code, _, err = run(
+            capsys,
+            ["superpixel", "--lambda", "4", str(big), "-o", str(tmp_path / "o.mspt")],
+        )
+        assert code == 2
+        assert "digits" in err
+
     def test_missing_input_exits_2(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,

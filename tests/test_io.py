@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +18,8 @@ from spxkit import (
     write_ppm,
 )
 
+# A 2-wide, 3-high netpbm header; "P6" is swapped for "P5" in PGM tests.
+NETPBM_2X3_HEADER = b"P6\n2 3\n255\n"
 MSPT_SCALAR_ZERO = bytes.fromhex("4d53505401000101000000" + "00000000")
 # dims (2, 3) float32, six payload floats
 MSPT_2X3 = (
@@ -76,6 +80,49 @@ class TestPpm:
         path.write_bytes(b"P6\n1 1\n255\n" + bytes(4))
         with pytest.raises(FormatError):
             read_ppm(str(path))
+
+    def test_huge_integer_token_rejected(self, tmp_path):
+        # 5000 digits is past Python's int() digit limit, which raises
+        # ValueError rather than a format error.
+        path = tmp_path / "big.ppm"
+        path.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3))
+        with pytest.raises(FormatError, match="digits"):
+            read_ppm(str(path))
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        magic=st.sampled_from([b"P6", b"P5"]),
+        cut=st.integers(0, len(NETPBM_2X3_HEADER) + 18),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, len(NETPBM_2X3_HEADER) - 1), st.integers(0, 255)
+            ),
+            max_size=4,
+        ),
+    )
+    def test_garbled_or_truncated_header_raises_only_format_error(
+        self, tmp_path, magic, cut, edits
+    ):
+        samples = 3 if magic == b"P6" else 1
+        data = bytearray(magic + NETPBM_2X3_HEADER[2:] + bytes(range(6 * samples)))
+        for pos, value in edits:
+            data[pos] = value
+        data = bytes(data[:cut])
+        path = tmp_path / "fuzz.pnm"
+        path.write_bytes(data)
+        read = read_ppm if magic == b"P6" else read_pgm
+        try:
+            arr = read(str(path))
+        except FormatError:
+            return
+        # A '#' starts a comment up to the newline, also inside a token.
+        tokens = re.sub(rb"#[^\n]*\n", b" ", data[2:]).split()
+        width, height = int(tokens[0]), int(tokens[1])
+        assert arr.shape == ((height, width, 3) if samples == 3 else (height, width))
 
 
 class TestPgm:

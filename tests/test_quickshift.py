@@ -13,7 +13,6 @@ from spxkit import (
     srgb_to_lab,
     validate_partition,
 )
-from spxkit.quickshift import _features
 
 
 def brute_force_quickshift(lab, sigma, tau, color_ratio):
