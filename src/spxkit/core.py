@@ -194,7 +194,10 @@ def check_image(image: np.ndarray) -> np.ndarray:
 
 
 def check_feature_map(features: np.ndarray) -> np.ndarray:
-    """Validate a floating feature map laid out as (channels, height, width)."""
+    """Validate a finite floating feature map laid out as (channels, height, width).
+
+    NaN or infinity would spread to its whole block through the block mean.
+    """
     arr = np.asarray(features)
     if arr.ndim != 3:
         raise ValueError(f"feature map must have shape (C, H, W), got {arr.shape}")
@@ -202,6 +205,8 @@ def check_feature_map(features: np.ndarray) -> np.ndarray:
         raise ValueError(f"feature map must be floating point, got {arr.dtype}")
     if min(arr.shape) < 1:
         raise ValueError(f"every dimension must be >= 1, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("feature map must be finite, found NaN or infinity")
     return arr
 
 

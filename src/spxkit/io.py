@@ -21,8 +21,9 @@ import math
 
 import numpy as np
 
-from .core import SuperpixelPartition, check_image, check_label_map
+from .core import SuperpixelPartition, check_image, check_label_map, relabel_contiguous
 from .metrics import boundary_mask
+from .msgpass import block_means
 
 __all__ = [
     "FormatError",
@@ -242,18 +243,7 @@ def render_overlay(
         out[boundary_mask(lab_arr)] = (255, 0, 0)
         return out
     if mode == "mean-color":
-        flat = lab_arr.ravel()
-        _, ids = np.unique(flat, return_inverse=True)
-        k = int(ids.max()) + 1
-        counts = np.bincount(ids, minlength=k).astype(np.float64)
-        out = np.empty_like(img)
-        means = np.empty((k, 3))
-        for c in range(3):
-            sums = np.bincount(
-                ids, weights=img[..., c].ravel().astype(np.float64), minlength=k
-            )
-            means[:, c] = sums / counts
-        filled = np.rint(means[ids]).astype(np.uint8)
-        out[...] = filled.reshape(img.shape)
-        return out
+        part = relabel_contiguous(lab_arr)
+        means = block_means(img.transpose(2, 0, 1).astype(np.float64), part)
+        return np.rint(means.T[part.labels]).astype(np.uint8)
     raise ValueError(f"mode must be 'boundaries' or 'mean-color', got {mode!r}")

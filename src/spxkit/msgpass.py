@@ -59,23 +59,26 @@ def _check_pair(features: np.ndarray, partition: SuperpixelPartition) -> np.ndar
     return x
 
 
+def _channel_means(x: np.ndarray, partition: SuperpixelPartition):
+    """Yield (channel, float64 row copy, block means) per channel, unchecked.
+
+    Sums run over pixels in row-major order via np.bincount, one
+    accumulator per block.
+    """
+    flat = partition.labels.ravel()
+    sizes = partition.block_sizes.astype(np.float64)
+    for c in range(x.shape[0]):
+        row = x[c].ravel().astype(np.float64)
+        sums = np.bincount(flat, weights=row, minlength=partition.num_blocks)
+        yield c, row, sums / sizes
+
+
 def block_means(
     features: np.ndarray, partition: SuperpixelPartition
 ) -> np.ndarray:
-    """Per-block channel means, shape (C, num_blocks), float64.
-
-    Sums run over pixels in row-major order via np.bincount, one
-    accumulator per (channel, block) slot.
-    """
+    """Per-block channel means, shape (C, num_blocks), float64."""
     x = _check_pair(features, partition)
-    flat = partition.labels.ravel()
-    k = partition.num_blocks
-    sums = np.empty((x.shape[0], k))
-    for c in range(x.shape[0]):
-        sums[c] = np.bincount(
-            flat, weights=x[c].ravel().astype(np.float64), minlength=k
-        )
-    return sums / partition.block_sizes.astype(np.float64)
+    return np.array([m for _, _, m in _channel_means(x, partition)])
 
 
 def mean_map(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray:
@@ -85,7 +88,7 @@ def mean_map(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray
     reproduces the same map (up to roundoff).
     """
     x = _check_pair(features, partition)
-    means = block_means(x, partition)
+    means = np.array([m for _, _, m in _channel_means(x, partition)])
     return means[:, partition.labels.ravel()].reshape(x.shape)
 
 
@@ -95,14 +98,17 @@ def message_pass(
     """Single-scale pass: features + alpha * blockwise mean.
 
     Output dtype matches the input's floating dtype; internals are
-    float64.
+    float64, one channel at a time, so extra memory is O(H*W).
     """
     x = _check_pair(features, partition)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    out = x.astype(np.float64, copy=True)
-    out += alpha * mean_map(x, partition)
-    return out.astype(x.dtype, copy=False)
+    out = np.empty_like(x)
+    flat = partition.labels.ravel()
+    for c, row, m in _channel_means(x, partition):
+        row += (alpha * m)[flat]
+        out[c] = row.reshape(x.shape[1:])
+    return out
 
 
 def message_pass_grad(
@@ -142,14 +148,17 @@ def downsample_partition(
     tx = ((np.arange(w_src, dtype=np.int64) + 1) * target_width - 1) // w_src
     cell = ty[:, None] * target_width + tx[None, :]
 
+    # Majority vote over runs of the sorted (cell, label) key. Every cell
+    # covers a source pixel; lexsort puts each cell's largest count first
+    # and, being stable, keeps tied runs in ascending label order.
     k = partition.num_blocks
-    joint = cell.ravel() * k + partition.labels.ravel()
-    counts = np.bincount(joint, minlength=target_height * target_width * k)
-    counts = counts.reshape(target_height * target_width, k)
-    majority = np.argmax(counts, axis=1).astype(np.int64)
-    return relabel_contiguous(
-        majority.reshape(target_height, target_width)
-    )
+    joint = np.sort(cell.ravel() * k + partition.labels.ravel())
+    starts = np.flatnonzero(np.r_[True, joint[1:] != joint[:-1]])
+    counts = np.diff(np.r_[starts, joint.size])
+    run_cell, run_label = np.divmod(joint[starts], k)
+    first = np.flatnonzero(np.r_[True, run_cell[1:] != run_cell[:-1]])
+    majority = run_label[np.lexsort((-counts, run_cell))[first]]
+    return relabel_contiguous(majority.reshape(target_height, target_width))
 
 
 @dataclass(frozen=True)
@@ -328,9 +337,9 @@ def gradient_check(
         for i in range(stages)
     ]
 
-    analytic = weights
-    for part in reversed(parts):
-        analytic = message_pass_grad(analytic, part, alpha)
+    # Stage indices stand in for scales: capped block counts can tie.
+    trace = CascadeTrace(stages=tuple((i + 1, p) for i, p in enumerate(parts)))
+    analytic = cascade_backward(weights, trace, alpha)
 
     step = _QUANTUM
     max_rel_err = 0.0
@@ -346,9 +355,7 @@ def gradient_check(
 
     y = _quantized(rng, shape)
     fx = cascade_apply(x, parts, alpha)
-    by = y
-    for part in reversed(parts):
-        by = message_pass_grad(by, part, alpha)
+    by = cascade_backward(y, trace, alpha)
     lhs = float((fx * y).sum())
     rhs = float((x * by).sum())
     adjoint_err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))

@@ -158,25 +158,20 @@ def _assign(
 
 
 def _update_centers(
-    lab: np.ndarray, labels: np.ndarray, centers: np.ndarray
+    points: np.ndarray, labels: np.ndarray, centers: np.ndarray
 ) -> np.ndarray:
     """Recompute centers as member means; empty clusters keep their center.
 
-    Sums use np.bincount over the row-major pixel order, which fixes the
+    ``points`` is the (5, H*W) array of pixel (L, a, b, x, y) rows. Sums
+    use np.bincount over the row-major pixel order, which fixes the
     accumulation order and keeps reruns bit-identical.
     """
-    h, w = lab.shape[:2]
     k = len(centers)
     flat = labels.ravel()
     counts = np.bincount(flat, minlength=k).astype(np.float64)
     new = np.empty_like(centers)
-    comp = [lab[..., 0], lab[..., 1], lab[..., 2]]
-    xs = np.tile(np.arange(w, dtype=np.float64), h)
-    ys = np.repeat(np.arange(h, dtype=np.float64), w)
-    for c in range(3):
-        new[:, c] = np.bincount(flat, weights=comp[c].ravel(), minlength=k)
-    new[:, 3] = np.bincount(flat, weights=xs, minlength=k)
-    new[:, 4] = np.bincount(flat, weights=ys, minlength=k)
+    for c in range(5):
+        new[:, c] = np.bincount(flat, weights=points[c], minlength=k)
     nonempty = counts > 0
     new[nonempty] /= counts[nonempty, None]
     new[~nonempty] = centers[~nonempty]
@@ -205,11 +200,13 @@ def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
     spacing = np.sqrt(h * w / params.num_superpixels)
     ratio = params.compactness**2 / spacing**2
     centers = _initial_centers(lab, params.num_superpixels)
+    yx = np.indices((h, w), dtype=np.float64).reshape(2, -1)
+    points = np.vstack([lab.reshape(-1, 3).T, yx[::-1]])  # rows L, a, b, x, y
 
     labels = None
     for _ in range(params.max_iterations):
         labels = _assign(lab, centers, spacing, ratio)
-        new_centers = _update_centers(lab, labels, centers)
+        new_centers = _update_centers(points, labels, centers)
         d_c2 = ((new_centers[:, :3] - centers[:, :3]) ** 2).sum(axis=1)
         d_s2 = ((new_centers[:, 3:] - centers[:, 3:]) ** 2).sum(axis=1)
         residual = float(np.mean(np.sqrt(d_c2 + ratio * d_s2)))

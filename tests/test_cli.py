@@ -153,6 +153,24 @@ class TestMspApply:
         assert code == 2
 
 
+    def test_nan_features_exit_1(self, capsys, tmp_path, tiny_ppm):
+        # a NaN is valid float32 payload, so the file reads; the value is
+        # a bad argument
+        feat_path = tmp_path / "features.mspt"
+        x = X22.copy()
+        x[0, 0, 1] = np.nan
+        write_mspt(x, str(feat_path))
+        out_path = tmp_path / "out.mspt"
+        code, _, err = run(
+            capsys,
+            ["msp-apply", "--image", tiny_ppm, "--features", str(feat_path),
+             "--scales", "1", "-o", str(out_path)],
+        )
+        assert code == 1
+        assert "finite" in err
+        assert not out_path.exists()
+
+
 class TestRefine:
     def test_block_constant_one_hot_keeps_argmax(self, capsys, tmp_path):
         img = np.zeros((16, 16, 3), np.uint8)
@@ -194,6 +212,22 @@ class TestRefine:
         assert np.array_equal(
             read_mspt(str(out_path)), np.argmax(probs, axis=0).astype(np.uint32)
         )
+
+
+    def test_nan_probs_exit_1(self, capsys, tmp_path, tiny_ppm):
+        probs = np.full((2, 2, 2), 0.5, dtype=np.float32)
+        probs[1, 1, 1] = np.nan
+        probs_path = tmp_path / "probs.mspt"
+        write_mspt(probs, str(probs_path))
+        out_path = tmp_path / "labels.mspt"
+        code, _, err = run(
+            capsys,
+            ["refine", "--image", tiny_ppm, "--probs", str(probs_path),
+             "--scales", "1", "-o", str(out_path)],
+        )
+        assert code == 1
+        assert "finite" in err
+        assert not out_path.exists()
 
 
 class TestMetrics:

@@ -91,6 +91,21 @@ class TestMessagePass:
         with pytest.raises(ValueError, match="alpha"):
             message_pass(X22, ONE_BLOCK, -0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = X22.copy()
+        x[0, 1, 0] = bad
+        calls = [
+            lambda: message_pass(x, ONE_BLOCK, 0.1),
+            lambda: message_pass(x, ONE_BLOCK, 0.0),
+            lambda: message_pass_grad(x, ONE_BLOCK, 0.1),
+            lambda: block_means(x, ONE_BLOCK),
+            lambda: mean_map(x, ONE_BLOCK),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
 
 class TestOperatorProperties:
     def setup_method(self):
@@ -288,6 +303,14 @@ class TestCascade:
             cascade_forward(x, img, MspConfig(scales=(2,)))
 
 
+    def test_forward_rejects_non_finite_features(self):
+        img = np.zeros((8, 8, 3), np.uint8)
+        x = np.zeros((2, 8, 8), dtype=np.float32)
+        x[1, 3, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            cascade_forward(x, img, MspConfig(scales=(2,)))
+
+
 class TestRefineProbabilities:
     def test_block_constant_one_hot_is_fixed_point(self):
         # blocks follow the image's two color halves; probabilities are
@@ -316,4 +339,12 @@ class TestRefineProbabilities:
         img = np.zeros((4, 4, 3), np.uint8)
         probs = np.full((2, 4, 4), -1.0)
         with pytest.raises(ValueError, match="nonnegative"):
+            refine_probabilities(probs, img, MspConfig(scales=(2,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        img = np.zeros((4, 4, 3), np.uint8)
+        probs = np.full((2, 4, 4), 0.5)
+        probs[0, 2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
             refine_probabilities(probs, img, MspConfig(scales=(2,)))
