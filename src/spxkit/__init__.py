@@ -35,7 +35,6 @@ from .io import (
 )
 from .metrics import (
     MetricsReport,
-    SpxQualityReport,
     boundary_fscore,
     boundary_mask,
     confusion_matrix,
@@ -72,7 +71,6 @@ __all__ = [
     "QuickShiftParams",
     "SCALES_DEFAULT",
     "SlicParams",
-    "SpxQualityReport",
     "SuperpixelPartition",
     "ValidationResult",
     "block_means",

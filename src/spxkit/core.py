@@ -14,6 +14,7 @@ __all__ = [
     "ValidationResult",
     "check_feature_map",
     "check_image",
+    "check_lab_image",
     "check_label_map",
     "relabel_contiguous",
     "validate_partition",
@@ -190,6 +191,22 @@ def check_image(image: np.ndarray) -> np.ndarray:
         raise ValueError(f"image must be uint8, got dtype {arr.dtype}")
     if arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValueError(f"image must be at least 2x2 pixels, got {arr.shape[:2]}")
+    return arr
+
+
+def check_lab_image(lab: np.ndarray) -> np.ndarray:
+    """Validate a finite Lab image of shape (H, W, 3), H and W >= 2; returns float64.
+
+    NaN or infinity would poison every distance the segmenters compare.
+    """
+    arr = np.asarray(lab, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ValueError(f"lab image must have shape (H, W, 3), got {arr.shape}")
+    h, w = arr.shape[:2]
+    if h < 2 or w < 2:
+        raise ValueError(f"image must be at least 2x2, got {h}x{w}")
+    if not np.isfinite(arr).all():
+        raise ValueError("lab image must be finite, found NaN or infinity")
     return arr
 
 

@@ -17,7 +17,6 @@ from .core import SuperpixelPartition, check_label_map
 
 __all__ = [
     "MetricsReport",
-    "SpxQualityReport",
     "boundary_fscore",
     "boundary_mask",
     "confusion_matrix",
@@ -47,22 +46,6 @@ class MetricsReport:
             "boundary_precision": self.boundary_precision,
             "boundary_recall": self.boundary_recall,
             "boundary_fscore": self.boundary_fscore,
-        }
-
-
-@dataclass(frozen=True)
-class SpxQualityReport:
-    """Superpixel quality relative to a ground-truth segmentation."""
-
-    undersegmentation_error: float
-    boundary_recall: float
-    num_blocks: int
-
-    def to_dict(self) -> dict:
-        return {
-            "undersegmentation_error": self.undersegmentation_error,
-            "boundary_recall": self.boundary_recall,
-            "num_blocks": self.num_blocks,
         }
 
 

@@ -293,9 +293,18 @@ def random_partition(
         raise ValueError(f"blocks must be in [1, {n}], got {blocks}")
     seeds = rng.choice(n, size=blocks, replace=False)
     sy, sx = divmod(seeds, width)
-    yy, xx = np.mgrid[0:height, 0:width]
-    d2 = (yy[..., None] - sy) ** 2 + (xx[..., None] - sx) ** 2
-    return relabel_contiguous(np.argmin(d2, axis=2))
+    yy = np.arange(height)[:, None]
+    xx = np.arange(width)[None, :]
+    # Running minimum over seeds in index order; the squared distances
+    # are exact integers, so a strict < keeps ties at the lowest index.
+    best = np.full((height, width), np.iinfo(np.int64).max)
+    labels = np.zeros((height, width), dtype=np.int64)
+    for k, (y, x) in enumerate(zip(sy.tolist(), sx.tolist())):
+        d2 = (yy - y) ** 2 + (xx - x) ** 2
+        closer = d2 < best
+        best[closer] = d2[closer]
+        labels[closer] = k
+    return relabel_contiguous(labels)
 
 
 def _quantized(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

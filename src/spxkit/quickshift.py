@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SuperpixelPartition, relabel_contiguous
+from .core import SuperpixelPartition, check_lab_image, relabel_contiguous
 
 __all__ = ["QuickShiftParams", "quickshift_match_scale", "quickshift_segment"]
 
@@ -85,12 +85,8 @@ def quickshift_segment(
     skips window offsets whose spatial distance alone exceeds tau; no
     such offset can supply a link, so the labels are unchanged.
     """
-    lab = np.asarray(lab, dtype=np.float64)
-    if lab.ndim != 3 or lab.shape[2] != 3:
-        raise ValueError(f"lab image must have shape (H, W, 3), got {lab.shape}")
+    lab = check_lab_image(lab)
     h, w = lab.shape[:2]
-    if h < 2 or w < 2:
-        raise ValueError(f"image must be at least 2x2, got {h}x{w}")
 
     color = np.moveaxis(lab * params.color_ratio, 2, 0).copy()
     radius = int(math.ceil(3.0 * params.sigma))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import SuperpixelPartition, relabel_contiguous
+from .core import SuperpixelPartition, check_lab_image, relabel_contiguous
 
 __all__ = ["SlicParams", "enforce_connectivity", "slic_segment"]
 
@@ -72,40 +72,33 @@ def _initial_centers(lab: np.ndarray, num_superpixels: int) -> np.ndarray:
     coordinates use the pixel-center convention ((i + 0.5) * step - 0.5)
     so a symmetric image splits into exactly equal blocks. Each seed is
     then moved to the lowest-gradient pixel in the 3x3 neighborhood of
-    its nearest pixel, but only on strict improvement; an unmoved seed
-    keeps its fractional grid position.
+    its nearest pixel, but only on strict improvement (first minimum in
+    row-major order; neighbors off the image count as +inf); an unmoved
+    seed keeps its fractional grid position.
     """
     h, w = lab.shape[:2]
     spacing = np.sqrt(h * w / num_superpixels)
     n_y = max(1, round(h / spacing))
     n_x = max(1, round(w / spacing))
-    step_y = h / n_y
-    step_x = w / n_x
-    grad = _lab_gradient(lab)
+    cy, cx = np.meshgrid(
+        (np.arange(n_y) + 0.5) * (h / n_y) - 0.5,
+        (np.arange(n_x) + 0.5) * (w / n_x) - 0.5,
+        indexing="ij",
+    )
+    cy, cx = cy.ravel(), cx.ravel()
+    py = np.clip(np.rint(cy).astype(np.intp), 0, h - 1)
+    px = np.clip(np.rint(cx).astype(np.intp), 0, w - 1)
 
-    centers = np.empty((n_y * n_x, 5))
-    k = 0
-    for i in range(n_y):
-        for j in range(n_x):
-            cy = (i + 0.5) * step_y - 0.5
-            cx = (j + 0.5) * step_x - 0.5
-            py = min(h - 1, max(0, int(round(cy))))
-            px = min(w - 1, max(0, int(round(cx))))
-            best = grad[py, px]
-            best_pos = None
-            for ny in range(max(0, py - 1), min(h, py + 2)):
-                for nx in range(max(0, px - 1), min(w, px + 2)):
-                    if grad[ny, nx] < best:
-                        best = grad[ny, nx]
-                        best_pos = (ny, nx)
-            if best_pos is not None:
-                py, px = best_pos
-                cy, cx = float(py), float(px)
-            centers[k, :3] = lab[py, px]
-            centers[k, 3] = cx
-            centers[k, 4] = cy
-            k += 1
-    return centers
+    padded = np.pad(_lab_gradient(lab), 1, constant_values=np.inf)
+    offsets = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    around = np.stack([padded[py + 1 + dy, px + 1 + dx] for dy, dx in offsets])
+    moved = around.min(axis=0) < around[4]  # around[4] is the seed itself
+    step = np.array(offsets)[np.argmin(around[:, moved], axis=0)]
+    py[moved] += step[:, 0]
+    px[moved] += step[:, 1]
+    cy[moved] = py[moved]
+    cx[moved] = px[moved]
+    return np.column_stack([lab[py, px], cx, cy])
 
 
 def _assign(
@@ -114,37 +107,69 @@ def _assign(
     """One assignment sweep; returns the (H, W) label array.
 
     ``ratio`` is m^2 / S^2, the spatial weight in the squared combined
-    distance d_c^2 + ratio * d_s^2. Clusters are visited in index order
-    and a pixel switches only on strictly smaller distance, so ties go
-    to the lowest cluster index. Pixels missed by every window are
-    assigned by a full search over all centers.
+    distance d_c^2 + ratio * d_s^2. Each cluster searches the pixels of
+    its clipped window [floor(c - S), ceil(c + S)]; a pixel takes the
+    smallest distance, ties going to the lowest cluster index, which is
+    what a sweep over clusters in index order with a strict-improvement
+    update gives. Pixels missed by every window are assigned by a full
+    search over all centers.
+
+    Clusters go in ascending chunks. Within a chunk every window is one
+    fixed-size strided view of the Lab planes, anchored inside the image
+    and masked to the cluster's own window, so the sweep runs no Python
+    loop per cluster; a chunk holds about H*W/4 window pixels, which
+    bounds the scratch memory by O(H*W).
     """
     h, w = lab.shape[:2]
-    best = np.full((h, w), np.inf)
-    labels = np.full((h, w), -1, dtype=np.int32)
-    half = spacing
+    k = len(centers)
+    best = np.full(h * w, np.inf)
+    labels = np.full(h * w, k, dtype=np.intp)  # above every index, for minimum.at
 
-    for k in range(len(centers)):
-        cl = centers[k, :3]
-        cx, cy = centers[k, 3], centers[k, 4]
-        y0 = max(0, int(np.floor(cy - half)))
-        y1 = min(h, int(np.ceil(cy + half)) + 1)
-        x0 = max(0, int(np.floor(cx - half)))
-        x1 = min(w, int(np.ceil(cx + half)) + 1)
-        if y0 >= y1 or x0 >= x1:
-            continue
-        win = lab[y0:y1, x0:x1]
-        d_c2 = ((win - cl) ** 2).sum(axis=2)
-        yy = np.arange(y0, y1, dtype=np.float64)[:, None] - cy
-        xx = np.arange(x0, x1, dtype=np.float64)[None, :] - cx
-        d2 = d_c2 + ratio * (yy**2 + xx**2)
-        view_best = best[y0:y1, x0:x1]
-        view_labels = labels[y0:y1, x0:x1]
-        better = d2 < view_best
-        view_best[better] = d2[better]
-        view_labels[better] = k
+    cy, cx = centers[:, 4], centers[:, 3]
+    y0 = np.clip(np.floor(cy - spacing), 0, h).astype(np.intp)
+    y1 = np.clip(np.ceil(cy + spacing) + 1, 0, h).astype(np.intp)
+    x0 = np.clip(np.floor(cx - spacing), 0, w).astype(np.intp)
+    x1 = np.clip(np.ceil(cx + spacing) + 1, 0, w).astype(np.intp)
+    win_h = max(1, int((y1 - y0).max()))
+    win_w = max(1, int((x1 - x0).max()))
+    # Window origins, shifted inside the image; the mask trims the rest.
+    oy = np.minimum(y0, h - win_h)
+    ox = np.minimum(x0, w - win_w)
+    planes = np.moveaxis(lab, 2, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        planes, (win_h, win_w), axis=(1, 2)
+    )
+    ry = np.arange(win_h)
+    rx = np.arange(win_w)
 
-    missed = labels < 0
+    chunk = max(1, (h * w // 4) // (win_h * win_w))
+    for lo in range(0, k, chunk):
+        sl = slice(lo, min(k, lo + chunk))
+        rows = oy[sl, None] + ry  # (n, win_h)
+        cols = ox[sl, None] + rx  # (n, win_w)
+        # Summed as ((dL^2 + da^2) + db^2), the order of .sum(axis=2).
+        d2 = (windows[0][oy[sl], ox[sl]] - centers[sl, 0, None, None]) ** 2
+        d2 += (windows[1][oy[sl], ox[sl]] - centers[sl, 1, None, None]) ** 2
+        d2 += (windows[2][oy[sl], ox[sl]] - centers[sl, 2, None, None]) ** 2
+        # An infinite offset outside the cluster's own window makes d2
+        # inf (or NaN if ratio underflowed to 0); neither can win below.
+        yy = rows - cy[sl, None]
+        yy[(rows < y0[sl, None]) | (rows >= y1[sl, None])] = np.inf
+        xx = cols - cx[sl, None]
+        xx[(cols < x0[sl, None]) | (cols >= x1[sl, None])] = np.inf
+        d2 += ratio * (yy[:, :, None] ** 2 + xx[:, None, :] ** 2)
+
+        pix = (rows[:, :, None] * w + cols[:, None, :]).ravel()
+        d2 = d2.ravel()
+        before = best[pix]
+        np.fmin.at(best, pix, d2)
+        after = best[pix]
+        labels[pix[after < before]] = k
+        hit = np.flatnonzero(d2 == after)
+        np.minimum.at(labels, pix[hit], lo + hit // (win_h * win_w))
+
+    labels = labels.reshape(h, w).astype(np.int32)
+    missed = (best == np.inf).reshape(h, w)  # no window offered d2 < inf
     if missed.any():
         ys, xs = np.nonzero(missed)
         pts = np.concatenate(
@@ -186,12 +211,8 @@ def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
     ``max_iterations`` is reached, then enforces connectivity. The
     result is deterministic and always a valid partition.
     """
-    lab = np.asarray(lab, dtype=np.float64)
-    if lab.ndim != 3 or lab.shape[2] != 3:
-        raise ValueError(f"lab image must have shape (H, W, 3), got {lab.shape}")
+    lab = check_lab_image(lab)
     h, w = lab.shape[:2]
-    if h < 2 or w < 2:
-        raise ValueError(f"image must be at least 2x2, got {h}x{w}")
     if params.num_superpixels > h * w:
         raise ValueError(
             f"num_superpixels {params.num_superpixels} exceeds pixel count {h * w}"
@@ -246,23 +267,18 @@ def _border_neighbors(comp: np.ndarray, ncomp: int) -> list[dict[int, int]]:
     Border length counts 4-adjacent pixel pairs with different
     component ids (each pair once).
     """
-    pairs = []
-    a, b = comp[:, :-1].ravel(), comp[:, 1:].ravel()
-    m = a != b
-    pairs.append(np.stack([a[m], b[m]], axis=1))
-    a, b = comp[:-1, :].ravel(), comp[1:, :].ravel()
-    m = a != b
-    pairs.append(np.stack([a[m], b[m]], axis=1))
-    allp = np.concatenate(pairs, axis=0)
-    if allp.size:
-        allp = np.sort(allp, axis=1)
-        uniq, counts = np.unique(allp, axis=0, return_counts=True)
-    else:
-        uniq, counts = np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+    keys = []
+    for a, b in ((comp[:, :-1], comp[:, 1:]), (comp[:-1, :], comp[1:, :])):
+        a, b = a.ravel(), b.ravel()
+        m = a != b
+        keys.append(np.minimum(a[m], b[m]) * ncomp + np.maximum(a[m], b[m]))
+    # lo * ncomp + hi sorts like the (lo, hi) pairs, since hi < ncomp.
+    uniq, counts = np.unique(np.concatenate(keys), return_counts=True)
     neighbors: list[dict[int, int]] = [dict() for _ in range(ncomp)]
-    for (p, q), c in zip(uniq, counts):
-        neighbors[int(p)][int(q)] = int(c)
-        neighbors[int(q)][int(p)] = int(c)
+    for key, c in zip(uniq.tolist(), counts.tolist()):
+        p, q = divmod(key, ncomp)
+        neighbors[p][q] = c
+        neighbors[q][p] = c
     return neighbors
 
 

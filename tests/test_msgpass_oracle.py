@@ -2,10 +2,11 @@
 
 The oracle below is the original message_pass (validated three times
 through mean_map and block_means, with (C, H, W) float64 temporaries)
-and the original downsample_partition (a dense (cells x blocks) vote
-table reduced by argmax). The library versions must return the same
-arrays, bit for bit, and the vote must use memory at most linear in
-the source pixels.
+the original downsample_partition (a dense (cells x blocks) vote
+table reduced by argmax) and the original random_partition (an
+(H, W, blocks) distance array reduced by argmin). The library versions
+must return the same arrays, bit for bit, and the vote and the Voronoi
+labels must use memory at most linear in the pixels.
 """
 
 import tracemalloc
@@ -107,6 +108,21 @@ def downsample_partition(
     return relabel_contiguous(
         majority.reshape(target_height, target_width)
     )
+
+
+def random_partition(
+    height: int, width: int, blocks: int, rng: np.random.Generator
+) -> SuperpixelPartition:
+    """Seeded Voronoi partition: ``blocks`` distinct seed pixels, each
+    pixel labeled by its nearest seed (ties: lowest seed index)."""
+    n = height * width
+    if not 1 <= blocks <= n:
+        raise ValueError(f"blocks must be in [1, {n}], got {blocks}")
+    seeds = rng.choice(n, size=blocks, replace=False)
+    sy, sx = divmod(seeds, width)
+    yy, xx = np.mgrid[0:height, 0:width]
+    d2 = (yy[..., None] - sy) ** 2 + (xx[..., None] - sx) ** 2
+    return relabel_contiguous(np.argmin(d2, axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +249,31 @@ def test_downsample_memory_is_linear_in_pixels():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_random_partition_matches_oracle(h, w, seed, data):
+    # Many blocks on a small grid make equidistant seeds, so ties are common.
+    blocks = data.draw(st.integers(1, h * w))
+    got = msgpass.random_partition(h, w, blocks, np.random.default_rng(seed))
+    want = random_partition(h, w, blocks, np.random.default_rng(seed))
+    assert _same_partition(got, want)
+
+
+def test_random_partition_memory_is_linear_in_pixels():
+    # 128x128 with 400 blocks: the (H, W, blocks) int64 distance array
+    # alone would be 128 * 128 * 400 * 8 bytes = 50 MiB.
+    tracemalloc.start()
+    try:
+        part = msgpass.random_partition(128, 128, 400, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert part.num_blocks == 400
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"

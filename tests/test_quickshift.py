@@ -170,6 +170,14 @@ def test_deterministic():
     assert np.array_equal(a.labels, b.labels)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_lab_rejected(bad):
+    lab = random_lab(3, 8, 8)
+    lab[4, 5, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        quickshift_segment(lab, QuickShiftParams(sigma=1.0))
+
+
 def test_param_validation_and_warning():
     with pytest.raises(ValueError):
         QuickShiftParams(sigma=0.0)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from spxkit import (
     srgb_to_lab,
     validate_partition,
 )
+
+slic_module = importlib.import_module("spxkit.slic")
 
 
 def flood_fill_components(labels):
@@ -77,6 +81,45 @@ class TestSlicSegment:
         lab = srgb_to_lab(np.full((4, 4, 3), 10, np.uint8))
         with pytest.raises(ValueError, match="exceeds"):
             slic_segment(lab, SlicParams(num_superpixels=17))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lab_rejected(self, bad):
+        # One such pixel poisons every distance to its window, yet a
+        # partition (8 blocks here) used to come back without complaint.
+        lab = srgb_to_lab(smooth_random_image(2, size=24))
+        lab[7, 11, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            slic_segment(lab, SlicParams(num_superpixels=9))
+
+    def test_connectivity_gets_raw_kmeans_labels_once_per_call(self, monkeypatch):
+        # The benchmark tracer wraps spxkit.slic.enforce_connectivity and
+        # counts components of the labels it receives; slic_segment must
+        # look it up there and hand it the unmerged k-means labels.
+        rng = np.random.default_rng(4)
+        img = np.clip(
+            smooth_random_image(3).astype(np.float64) + rng.normal(0, 12, (64, 64, 3)),
+            0,
+            255,
+        ).astype(np.uint8)
+        lab = srgb_to_lab(img)
+        calls = []
+
+        def spy(raw_labels, min_size):
+            part = enforce_connectivity(raw_labels, min_size)
+            calls.append((raw_labels.copy(), min_size, part))
+            return part
+
+        monkeypatch.setattr(slic_module, "enforce_connectivity", spy)
+        for n, lam in enumerate((16, 49), start=1):
+            part = slic_segment(lab, SlicParams(num_superpixels=lam))
+            assert len(calls) == n
+            raw, min_size, merged = calls[-1]
+            assert part is merged
+            assert raw.shape == (64, 64) and raw.dtype == np.int32
+            assert 0 <= raw.min() and raw.max() < len(slic_module._initial_centers(lab, lam))
+            assert min_size == int(0.25 * 64 * 64 / lam)
+            # Raw k-means labels still hold the fragments the merge removes.
+            assert flood_fill_components(raw)[1] > part.num_blocks
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
