@@ -53,7 +53,7 @@ img[:, :32] = (200, 60, 60)
 img[:, 32:] = (60, 60, 200)
 features = rng.normal(size=(3, 32, 32))  # half the image resolution
 
-config = MspConfig(alpha=alpha, scales=(4, 16), algorithm="slic")
+config = MspConfig(alpha=alpha, scales=(4, 16))
 smoothed, trace = cascade_forward(features, img, config)
 print("\ncascade stages (requested scale -> blocks at feature resolution):")
 for scale, p in trace.stages:

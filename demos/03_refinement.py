@@ -40,7 +40,7 @@ for c in range(2):
 print(f"corrupted {noisy.sum()} of {h * w} pixels near the boundary")
 
 plain = np.argmax(probs, axis=0)
-config = MspConfig(alpha=0.1, scales=(50, 100), algorithm="slic")
+config = MspConfig(alpha=0.1, scales=(50, 100))
 refined = refine_probabilities(probs, img, config).astype(np.int64)
 
 for name, pred in (("plain argmax", plain), ("refined", refined)):

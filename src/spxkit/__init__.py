@@ -2,11 +2,12 @@
 
 The library groups into:
 
-- :mod:`spxkit.core`: partition/label types, validation, configuration.
+- :mod:`spxkit.core`: partition/label types and validation.
 - :mod:`spxkit.color`: sRGB to CIELAB conversion.
 - :mod:`spxkit.slic` / :mod:`spxkit.quickshift`: superpixel generators.
 - :mod:`spxkit.msgpass`: the block-mean message-passing operator, its
-  exact backward pass, the multiscale cascade, and label refinement.
+  exact backward pass, the multiscale cascade and its configuration,
+  and label refinement.
 - :mod:`spxkit.metrics`: mIoU, boundary F-score, undersegmentation
   error, boundary recall.
 - :mod:`spxkit.io`: PPM/PGM images, the MSPT tensor container, overlays.
@@ -17,7 +18,6 @@ from .color import srgb_to_lab
 from .core import (
     SCALES_DEFAULT,
     AlgorithmError,
-    MspConfig,
     SuperpixelPartition,
     ValidationResult,
     relabel_contiguous,
@@ -45,6 +45,7 @@ from .metrics import (
 )
 from .msgpass import (
     CascadeTrace,
+    MspConfig,
     block_means,
     cascade_apply,
     cascade_backward,

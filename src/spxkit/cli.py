@@ -15,10 +15,10 @@ import sys
 import numpy as np
 
 from .color import srgb_to_lab
-from .core import AlgorithmError, MspConfig, relabel_contiguous, validate_partition
+from .core import AlgorithmError, relabel_contiguous, validate_partition
 from .io import FormatError, read_mspt, read_ppm, render_overlay, write_mspt, write_ppm
 from .metrics import evaluate_segmentation, spx_boundary_recall, undersegmentation_error
-from .msgpass import cascade_forward, gradient_check, refine_probabilities
+from .msgpass import MspConfig, cascade_forward, gradient_check, refine_probabilities
 from .quickshift import QuickShiftParams, quickshift_match_scale, quickshift_segment
 from .slic import SlicParams, slic_segment
 
@@ -46,32 +46,50 @@ def _add_superpixel_flags(parser: argparse.ArgumentParser) -> None:
         help="superpixel algorithm (default: slic)",
     )
     parser.add_argument(
-        "--compactness", type=float, default=10.0,
-        help="SLIC compactness m (default: 10)",
+        "--compactness", type=float, default=SlicParams.compactness,
+        help="SLIC compactness m (default: %(default)g)",
     )
     parser.add_argument(
-        "--sigma", type=float, default=5.0,
-        help="Quick Shift kernel bandwidth in pixels (default: 5)",
+        "--sigma", type=float, default=QuickShiftParams.sigma,
+        help="Quick Shift kernel bandwidth in pixels (default: %(default)g)",
     )
     parser.add_argument(
-        "--tau", type=float, default=10.0,
-        help="Quick Shift maximum link distance in pixels (default: 10)",
+        "--tau", type=float, default=QuickShiftParams.tau,
+        help="Quick Shift maximum link distance in pixels (default: %(default)g)",
     )
     parser.add_argument(
-        "--ratio", type=float, default=0.5,
-        help="Quick Shift color weight relative to position (default: 0.5)",
+        "--ratio", type=float, default=QuickShiftParams.color_ratio,
+        help="Quick Shift color weight relative to position (default: %(default)g)",
     )
 
 
-def _build_config(args, scales: tuple[int, ...]) -> MspConfig:
+def _add_cascade_flags(parser: argparse.ArgumentParser) -> None:
+    _add_superpixel_flags(parser)
+    parser.add_argument("--image", required=True, help="guidance image (binary PPM)")
+    parser.add_argument(
+        "--scales", default=",".join(map(str, MspConfig.scales)),
+        help="comma-separated block counts, strictly increasing",
+    )
+    parser.add_argument(
+        "--alpha", type=float, default=MspConfig.alpha,
+        help="message weight (default: %(default)g)",
+    )
+
+
+def _segmenter(args, blocks: int | None) -> SlicParams | QuickShiftParams:
+    """The --algo generator with its flags; ``blocks`` is SLIC's block count."""
+    if args.algo == "slic":
+        if blocks is None:
+            raise ValueError("--lambda is required with --algo slic")
+        return SlicParams(num_superpixels=blocks, compactness=args.compactness)
+    return QuickShiftParams(sigma=args.sigma, tau=args.tau, color_ratio=args.ratio)
+
+
+def _cascade_config(args) -> MspConfig:
+    scales = _parse_scales(args.scales)
+    # Each stage replaces the SLIC template's block count with its scale.
     return MspConfig(
-        alpha=args.alpha,
-        scales=scales,
-        algorithm=args.algo,
-        compactness=args.compactness,
-        sigma=args.sigma,
-        tau=args.tau,
-        color_ratio=args.ratio,
+        alpha=args.alpha, scales=scales, segmenter=_segmenter(args, max(scales))
     )
 
 
@@ -93,26 +111,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("msp-apply",
                        help="apply the multiscale message-passing cascade")
-    _add_superpixel_flags(p)
-    p.add_argument("--image", required=True, help="guidance image (binary PPM)")
+    _add_cascade_flags(p)
     p.add_argument("--features", required=True, help="feature map (MSPT f32 [C,H,W])")
-    p.add_argument("--scales", default="200,300,400",
-                   help="comma-separated block counts, strictly increasing")
-    p.add_argument("--alpha", type=float, default=0.1,
-                   help="message weight (default: 0.1)")
     p.add_argument("-o", "--output", required=True,
                    help="output feature map (MSPT f32 [C,H,W])")
     p.set_defaults(handler=_cmd_msp_apply)
 
     p = sub.add_parser("refine",
                        help="smooth class probabilities and write the argmax labels")
-    _add_superpixel_flags(p)
-    p.add_argument("--image", required=True, help="guidance image (binary PPM)")
+    _add_cascade_flags(p)
     p.add_argument("--probs", required=True,
                    help="class probabilities (MSPT f32 [C,H,W])")
-    p.add_argument("--scales", default="200,300,400",
-                   help="comma-separated block counts, strictly increasing")
-    p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("-o", "--output", required=True,
                    help="output label map (MSPT u32 [H,W])")
     p.set_defaults(handler=_cmd_refine)
@@ -154,21 +163,13 @@ def build_parser() -> _Parser:
 def _cmd_superpixel(args) -> int:
     image = read_ppm(args.input)
     lab = srgb_to_lab(image)
-    if args.algo == "slic":
-        if args.num_superpixels is None:
-            raise ValueError("--lambda is required with --algo slic")
-        params = SlicParams(
-            num_superpixels=args.num_superpixels, compactness=args.compactness
-        )
-        partition = slic_segment(lab, params)
+    spec = _segmenter(args, args.num_superpixels)
+    if isinstance(spec, SlicParams):
+        partition = slic_segment(lab, spec)
+    elif args.num_superpixels is not None:
+        partition = quickshift_match_scale(lab, spec, args.num_superpixels)
     else:
-        qs = QuickShiftParams(
-            sigma=args.sigma, tau=args.tau, color_ratio=args.ratio
-        )
-        if args.num_superpixels is not None:
-            partition = quickshift_match_scale(lab, qs, args.num_superpixels)
-        else:
-            partition = quickshift_segment(lab, qs)
+        partition = quickshift_segment(lab, spec)
     verdict = validate_partition(partition)
     if not verdict:
         raise AlgorithmError(f"invalid partition produced: {verdict.reason}")
@@ -198,7 +199,7 @@ def _read_label_file(path: str) -> np.ndarray:
 
 
 def _cmd_msp_apply(args) -> int:
-    config = _build_config(args, _parse_scales(args.scales))
+    config = _cascade_config(args)
     image = read_ppm(args.image)
     features = _read_feature_file(args.features)
     out, _ = cascade_forward(features, image, config)
@@ -207,7 +208,7 @@ def _cmd_msp_apply(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    config = _build_config(args, _parse_scales(args.scales))
+    config = _cascade_config(args)
     image = read_ppm(args.image)
     probs = _read_feature_file(args.probs)
     labels = refine_probabilities(probs, image, config)

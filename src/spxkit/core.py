@@ -1,4 +1,4 @@
-"""Shared domain types: partitions, configuration, input validation."""
+"""Shared domain types: partitions, labels, input validation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 
 __all__ = [
     "AlgorithmError",
-    "MspConfig",
     "SCALES_DEFAULT",
     "SuperpixelPartition",
     "ValidationResult",
@@ -134,52 +133,6 @@ def relabel_contiguous(raw_labels: np.ndarray) -> SuperpixelPartition:
     return SuperpixelPartition(
         labels=new_labels, num_blocks=int(uniq.size), block_sizes=sizes
     )
-
-
-@dataclass(frozen=True)
-class MspConfig:
-    """Settings for the multiscale message-passing cascade.
-
-    ``scales`` lists the requested block count per stage and must be
-    strictly increasing (large blocks first, finer blocks later).
-    ``alpha`` weights the block-mean message added back to each feature.
-    The remaining fields parameterize whichever superpixel algorithm
-    ``algorithm`` selects.
-    """
-
-    alpha: float = 0.1
-    scales: tuple[int, ...] = SCALES_DEFAULT
-    algorithm: str = "slic"
-    # SLIC knobs
-    compactness: float = 10.0
-    max_iterations: int = 10
-    residual_threshold: float = 0.25
-    min_region_fraction: float = 0.25
-    # Quick Shift knobs
-    sigma: float = 5.0
-    tau: float = 10.0
-    color_ratio: float = 0.5
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
-        self.validate()
-
-    def validate(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.scales:
-            raise ValueError("scales must be nonempty")
-        if any(s < 1 for s in self.scales):
-            raise ValueError(f"every scale must be >= 1, got {self.scales}")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise ValueError(
-                "scales must be strictly increasing (each scale must exceed "
-                f"the previous one), got {self.scales}"
-            )
-        if self.algorithm not in ("slic", "quickshift"):
-            raise ValueError(
-                f"algorithm must be 'slic' or 'quickshift', got {self.algorithm!r}"
-            )
 
 
 def check_image(image: np.ndarray) -> np.ndarray:

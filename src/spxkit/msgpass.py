@@ -18,13 +18,14 @@ results are bit-reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .color import srgb_to_lab
 from .core import (
-    MspConfig,
+    SCALES_DEFAULT,
     SuperpixelPartition,
     check_feature_map,
     check_image,
@@ -35,6 +36,7 @@ from .slic import SlicParams, slic_segment
 
 __all__ = [
     "CascadeTrace",
+    "MspConfig",
     "block_means",
     "cascade_apply",
     "cascade_backward",
@@ -47,6 +49,11 @@ __all__ = [
     "random_partition",
     "refine_probabilities",
 ]
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:  # also rejects NaN
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
 
 
 def _check_pair(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray:
@@ -101,8 +108,7 @@ def message_pass(
     float64, one channel at a time, so extra memory is O(H*W).
     """
     x = _check_pair(features, partition)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     out = np.empty_like(x)
     flat = partition.labels.ravel()
     for c, row, m in _channel_means(x, partition):
@@ -193,25 +199,40 @@ def cascade_apply(
     return x
 
 
-def _generate_partition(
-    lab: np.ndarray,
-    scale: int,
-    config: MspConfig,
-    memo: dict[float, SuperpixelPartition],
-) -> SuperpixelPartition:
-    if config.algorithm == "slic":
-        params = SlicParams(
-            num_superpixels=scale,
-            compactness=config.compactness,
-            max_iterations=config.max_iterations,
-            residual_threshold=config.residual_threshold,
-            min_region_fraction=config.min_region_fraction,
-        )
-        return slic_segment(lab, params)
-    params = QuickShiftParams(
-        sigma=config.sigma, tau=config.tau, color_ratio=config.color_ratio
-    )
-    return quickshift_match_scale(lab, params, scale, memo=memo)
+@dataclass(frozen=True)
+class MspConfig:
+    """Settings for the multiscale message-passing cascade.
+
+    ``scales`` lists the requested block count per stage and must be
+    strictly increasing (large blocks first, finer blocks later).
+    ``alpha`` weights the block-mean message added back to each feature.
+    ``segmenter`` picks the superpixel generator and holds its knobs: a
+    :class:`SlicParams` is a template whose ``num_superpixels`` each
+    stage replaces with its scale; a :class:`QuickShiftParams` starts
+    every stage's sigma sweep.
+    """
+
+    alpha: float = 0.1
+    scales: tuple[int, ...] = SCALES_DEFAULT
+    segmenter: SlicParams | QuickShiftParams = SlicParams(SCALES_DEFAULT[0])
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
+        _check_alpha(self.alpha)
+        if not self.scales:
+            raise ValueError("scales must be nonempty")
+        if any(s < 1 for s in self.scales):
+            raise ValueError(f"every scale must be >= 1, got {self.scales}")
+        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
+            raise ValueError(
+                "scales must be strictly increasing (each scale must exceed "
+                f"the previous one), got {self.scales}"
+            )
+        if not isinstance(self.segmenter, (SlicParams, QuickShiftParams)):
+            raise ValueError(
+                "segmenter must be SlicParams or QuickShiftParams, got "
+                f"{self.segmenter!r}"
+            )
 
 
 def cascade_forward(
@@ -227,7 +248,6 @@ def cascade_forward(
     """
     x = check_feature_map(features)
     img = check_image(image)
-    config.validate()
     h_f, w_f = x.shape[1:]
     if h_f > img.shape[0] or w_f > img.shape[1]:
         raise ValueError(
@@ -237,7 +257,11 @@ def cascade_forward(
     stages = []
     memo: dict[float, SuperpixelPartition] = {}  # Quick Shift sigma -> partition
     for scale in config.scales:
-        part_full = _generate_partition(lab, scale, config, memo)
+        if isinstance(config.segmenter, SlicParams):
+            spec = replace(config.segmenter, num_superpixels=scale)
+            part_full = slic_segment(lab, spec)
+        else:
+            part_full = quickshift_match_scale(lab, config.segmenter, scale, memo=memo)
         part = downsample_partition(part_full, h_f, w_f)
         x = message_pass(x, part, config.alpha)
         stages.append((scale, part))

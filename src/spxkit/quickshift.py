@@ -1,7 +1,8 @@
 """Quick Shift superpixels: mode seeking on a Parzen density estimate.
 
 Each pixel carries a 5-D feature (scaled L, a, b, x, y). Density is a
-truncated Gaussian sum over a square window of radius ceil(3*sigma),
+truncated Gaussian sum over a square window of radius ceil(3*sigma)
+(capped at max(H, W) - 1: every farther offset leaves the image),
 which is also the search window for links. Every pixel links to its
 nearest neighbor that ranks strictly higher in the (density, row-major
 index) lexicographic order, provided the 5-D distance is at most tau;
@@ -31,8 +32,11 @@ class QuickShiftParams:
     color_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        # Comparisons that fail on NaN, so NaN is rejected too.
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not self.tau >= 0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
         if not 0.0 <= self.color_ratio <= 1.0:
             raise ValueError(
                 f"color_ratio must be in [0, 1], got {self.color_ratio}"
@@ -89,7 +93,8 @@ def quickshift_segment(
     h, w = lab.shape[:2]
 
     color = np.moveaxis(lab * params.color_ratio, 2, 0).copy()
-    radius = int(math.ceil(3.0 * params.sigma))
+    # Farther offsets have empty slices, which both loops skip anyway.
+    radius = min(int(math.ceil(3.0 * params.sigma)), max(h, w) - 1)
     inv_two_sigma2 = 1.0 / (2.0 * params.sigma**2)
 
     density = np.zeros((h, w))

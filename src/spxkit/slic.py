@@ -45,8 +45,10 @@ class SlicParams:
             raise ValueError(
                 f"num_superpixels must be >= 1, got {self.num_superpixels}"
             )
-        if self.compactness <= 0:
-            raise ValueError(f"compactness must be > 0, got {self.compactness}")
+        if not 0 < self.compactness < np.inf:  # also rejects NaN
+            raise ValueError(
+                f"compactness must be finite and > 0, got {self.compactness}"
+            )
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"

@@ -297,7 +297,7 @@ def test_criterion_8_refinement_demo():
         probs[c][noisy] = np.where(wrong[noisy] == c, 0.52, 0.48)
 
     plain = np.argmax(probs, axis=0)
-    config = MspConfig(alpha=ALPHA, scales=(50, 100), algorithm="slic")
+    config = MspConfig(alpha=ALPHA, scales=(50, 100))
     refined = refine_probabilities(probs, img, config).astype(np.int64)
 
     before = evaluate_segmentation(plain, gt, 2, None, boundary_tolerance_px=1)

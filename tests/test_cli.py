@@ -1,9 +1,19 @@
 import json
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from spxkit import read_mspt, write_mspt, write_ppm
+from spxkit import (
+    MspConfig,
+    QuickShiftParams,
+    SlicParams,
+    cascade_forward,
+    read_mspt,
+    write_mspt,
+    write_ppm,
+)
 from spxkit.cli import main
 
 X22 = np.array([[[1.0, 3.0], [5.0, 7.0]]], dtype=np.float32)
@@ -228,6 +238,109 @@ class TestRefine:
         assert code == 1
         assert "finite" in err
         assert not out_path.exists()
+
+
+class TestKnobValidation:
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--algo", "slic", "--lambda", "8", "--compactness", "nan"], "compactness"),
+            (["--algo", "slic", "--lambda", "8", "--compactness", "inf"], "compactness"),
+            (["--algo", "quickshift", "--sigma", "inf"], "sigma"),
+            (["--algo", "quickshift", "--sigma", "nan"], "sigma"),
+            (["--algo", "quickshift", "--tau", "-10"], "tau"),
+            (["--algo", "quickshift", "--tau", "nan"], "tau"),
+        ],
+    )
+    def test_superpixel_bad_knob_exits_1(
+        self, capsys, tmp_path, uniform_ppm, flags, name
+    ):
+        out_path = tmp_path / "x.mspt"
+        code, _, err = run(
+            capsys, ["superpixel", *flags, uniform_ppm, "-o", str(out_path)]
+        )
+        assert code == 1
+        assert name in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "command, alpha, scales",
+        [
+            ("msp-apply", "nan", "1"),
+            ("msp-apply", "inf", "1,2"),
+            ("refine", "nan", "1,2"),
+            ("refine", "inf", "1"),
+        ],
+    )
+    def test_non_finite_alpha_exits_1(
+        self, capsys, tmp_path, tiny_ppm, command, alpha, scales
+    ):
+        in_path = tmp_path / "in.mspt"
+        write_mspt(X22, str(in_path))
+        out_path = tmp_path / "out.mspt"
+        data_flag = "--features" if command == "msp-apply" else "--probs"
+        code, _, err = run(
+            capsys,
+            [command, "--image", tiny_ppm, data_flag, str(in_path),
+             "--scales", scales, "--alpha", alpha, "-o", str(out_path)],
+        )
+        assert code == 1
+        assert "alpha" in err
+        assert not out_path.exists()
+
+
+def flag_scene():
+    """A noisy 24x24 four-quadrant image and a 12x12 feature map on which
+    every knob below changes the cascade output."""
+    rng = np.random.default_rng(4)
+    yy, xx = np.mgrid[:24, :24]
+    img = np.zeros((24, 24, 3))
+    img[..., 0] = np.where(xx < 12, 200, 40)
+    img[..., 1] = np.where(yy < 12, 180, 60)
+    img[..., 2] = 100 + 3 * xx
+    img = np.clip(img + rng.normal(0, 12, img.shape), 0, 255).astype(np.uint8)
+    return img, rng.normal(size=(2, 12, 12)).astype(np.float32)
+
+
+class TestSegmenterFlags:
+    @pytest.mark.parametrize(
+        "flags, segmenter",
+        [
+            (["--algo", "quickshift", "--sigma", "3", "--tau", "7", "--ratio", "0.4"],
+             QuickShiftParams(sigma=3.0, tau=7.0, color_ratio=0.4)),
+            (["--algo", "slic", "--compactness", "20"],
+             SlicParams(num_superpixels=16, compactness=20.0)),
+        ],
+    )
+    def test_msp_apply_flags_reach_the_segmenter(
+        self, capsys, tmp_path, flags, segmenter
+    ):
+        image, features = flag_scene()
+        write_ppm(image, str(tmp_path / "img.ppm"))
+        write_mspt(features, str(tmp_path / "feat.mspt"))
+        out_path = tmp_path / "out.mspt"
+        code, _, _ = run(
+            capsys,
+            ["msp-apply", *flags, "--image", str(tmp_path / "img.ppm"),
+             "--features", str(tmp_path / "feat.mspt"), "--scales", "8,16",
+             "--alpha", "0.5", "-o", str(out_path)],
+        )
+        assert code == 0
+        config = MspConfig(alpha=0.5, scales=(8, 16), segmenter=segmenter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Quick Shift may miss a scale
+            want, _ = cascade_forward(features, image, config)
+            assert np.array_equal(read_mspt(str(out_path)), want)
+            # Each knob set above matters here: its default gives another output.
+            for f in fields(segmenter):
+                value = getattr(segmenter, f.name)
+                if f.name == "num_superpixels" or value == f.default:
+                    continue
+                knob_default = replace(segmenter, **{f.name: f.default})
+                other, _ = cascade_forward(
+                    features, image, replace(config, segmenter=knob_default)
+                )
+                assert not np.array_equal(other, want), f.name
 
 
 class TestMetrics:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from spxkit import (
     MspConfig,
+    SlicParams,
     SuperpixelPartition,
     relabel_contiguous,
     validate_partition,
@@ -86,6 +89,15 @@ class TestMspConfig:
         assert config.alpha == 0.1
         assert config.scales == (200, 300, 400)
 
+    def test_fields_are_alpha_scales_segmenter(self):
+        assert [f.name for f in fields(MspConfig)] == ["alpha", "scales", "segmenter"]
+        assert MspConfig().segmenter == SlicParams(num_superpixels=200)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_alpha(self, bad):
+        with pytest.raises(ValueError, match="alpha"):
+            MspConfig(alpha=bad)
+
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             MspConfig(alpha=-0.1)
@@ -100,6 +112,6 @@ class TestMspConfig:
         with pytest.raises(ValueError, match="scale"):
             MspConfig(scales=(0, 10))
 
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ValueError, match="algorithm"):
-            MspConfig(algorithm="watershed")
+    def test_rejects_unknown_segmenter(self):
+        with pytest.raises(ValueError, match="segmenter"):
+            MspConfig(segmenter="watershed")

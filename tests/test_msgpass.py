@@ -1,9 +1,13 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spxkit import (
     CascadeTrace,
     MspConfig,
+    SlicParams,
     block_means,
     cascade_apply,
     cascade_backward,
@@ -16,8 +20,11 @@ from spxkit import (
     random_partition,
     refine_probabilities,
     relabel_contiguous,
+    slic_segment,
     validate_partition,
 )
+
+msgpass_module = importlib.import_module("spxkit.msgpass")
 
 
 def naive_message_pass(x, partition, alpha):
@@ -90,6 +97,12 @@ class TestMessagePass:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             message_pass(X22, ONE_BLOCK, -0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        for op in (message_pass, message_pass_grad):
+            with pytest.raises(ValueError, match="alpha"):
+                op(X22, ONE_BLOCK, bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
@@ -263,7 +276,7 @@ class TestCascade:
         rng = np.random.default_rng(8)
         img = rng.integers(0, 256, (32, 32, 3)).astype(np.uint8)
         x = rng.normal(size=(2, 16, 16))
-        config = MspConfig(alpha=0.1, scales=(4, 9), algorithm="slic")
+        config = MspConfig(alpha=0.1, scales=(4, 9))
         out, trace = cascade_forward(x, img, config)
         assert out.shape == x.shape
         assert [s for s, _ in trace.stages] == [4, 9]
@@ -273,6 +286,25 @@ class TestCascade:
         # replaying the traced partitions reproduces the output
         replay = cascade_apply(x, [p for _, p in trace.stages], 0.1)
         assert np.array_equal(replay, out)
+
+    def test_slic_template_keeps_its_knobs_at_every_scale(self, monkeypatch):
+        seen = []
+
+        def recording(lab, params):
+            seen.append(params)
+            return slic_segment(lab, params)
+
+        monkeypatch.setattr(msgpass_module, "slic_segment", recording)
+        template = SlicParams(
+            num_superpixels=1, compactness=20.0, max_iterations=3,
+            residual_threshold=0.5, min_region_fraction=0.1,
+        )
+        rng = np.random.default_rng(8)
+        img = rng.integers(0, 256, (32, 32, 3)).astype(np.uint8)
+        x = rng.normal(size=(2, 16, 16))
+        config = MspConfig(alpha=0.1, scales=(4, 9, 16), segmenter=template)
+        cascade_forward(x, img, config)
+        assert seen == [replace(template, num_superpixels=s) for s in (4, 9, 16)]
 
     def test_backward_single_stage_equals_grad(self):
         rng = np.random.default_rng(9)
@@ -322,7 +354,7 @@ class TestRefineProbabilities:
         probs = np.zeros((2, 16, 16), dtype=np.float64)
         probs[0, :, :8] = 1.0
         probs[1, :, 8:] = 1.0
-        config = MspConfig(alpha=0.1, scales=(2,), algorithm="slic")
+        config = MspConfig(alpha=0.1, scales=(2,))
         labels = refine_probabilities(probs, img, config)
         assert np.array_equal(labels, np.argmax(probs, axis=0).astype(np.uint32))
 

@@ -187,6 +187,20 @@ def test_param_validation_and_warning():
         QuickShiftParams(sigma=5.0, tau=4.0)
 
 
+@pytest.mark.parametrize(
+    "knobs, name",
+    [
+        ({"sigma": math.nan}, "sigma"),
+        ({"sigma": math.inf}, "sigma"),
+        ({"tau": -10.0}, "tau"),
+        ({"tau": math.nan}, "tau"),
+    ],
+)
+def test_non_finite_or_negative_knobs_rejected(knobs, name):
+    with pytest.raises(ValueError, match=name):
+        QuickShiftParams(**knobs)
+
+
 def test_match_scale_sweeps_sigma_down():
     lab = random_lab(21, 24, 24)
     part = quickshift_match_scale(lab, QuickShiftParams(sigma=8.0), 32)

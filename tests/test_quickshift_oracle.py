@@ -188,9 +188,7 @@ SCALES = (6, 16, 60)
 def seed_style_cascade(features, image, config):
     """The per-scale loop before sweep sharing, on the oracle."""
     lab = srgb_to_lab(image)
-    params = QuickShiftParams(
-        sigma=config.sigma, tau=config.tau, color_ratio=config.color_ratio
-    )
+    params = config.segmenter
     x = features
     parts = []
     for scale in config.scales:
@@ -204,7 +202,7 @@ def seed_style_cascade(features, image, config):
 def test_cascade_matches_seed_style_loop():
     image = two_by_two_scene()
     features = np.random.default_rng(7).normal(size=(3, 12, 12)).astype(np.float32)
-    config = MspConfig(alpha=0.5, scales=SCALES, algorithm="quickshift")
+    config = MspConfig(alpha=0.5, scales=SCALES, segmenter=QuickShiftParams())
     want, want_parts = seed_style_cascade(features, image, config)
     with pytest.warns(UserWarning, match="missed") as record:
         got, trace = cascade_forward(features, image, config)
@@ -239,7 +237,7 @@ def test_cascade_segments_each_sigma_once(monkeypatch):
         return quickshift_segment(lab, params)
 
     monkeypatch.setattr(qs_module, "quickshift_segment", counting)
-    config = MspConfig(scales=SCALES, algorithm="quickshift")
+    config = MspConfig(scales=SCALES, segmenter=QuickShiftParams())
     with pytest.warns(UserWarning, match="missed"):
         cascade_forward(features, image, config)
     assert sorted(calls) == sorted(set(swept))
@@ -273,3 +271,26 @@ def test_missed_target_warns_and_returns_last_attempt():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         quickshift_match_scale(lab, params, 16)  # met on the last attempt: silent
+
+
+def test_window_is_capped_by_the_image(monkeypatch):
+    rng = np.random.default_rng(5)
+    lab = srgb_to_lab(rng.integers(0, 256, (6, 8, 3)).astype(np.uint8))
+    # sigma 10 spans offsets up to 30, the oracle walks all of them, and
+    # every offset beyond 7 = max(H, W) - 1 leaves the image.
+    params = quiet_params(sigma=10.0, tau=12.0)
+    want = oracle_quickshift_segment(lab, params)
+    assert np.array_equal(quickshift_segment(lab, params).labels, want.labels)
+
+    bound = 2 * (2 * 7 + 1) ** 2  # both sweeps over |dy|, |dx| <= 7
+    calls = []
+
+    def counting(h, w, dy, dx):
+        calls.append((dy, dx))
+        assert len(calls) <= bound, "window offsets not capped by the image"
+        return _offset_slices(h, w, dy, dx)
+
+    monkeypatch.setattr(qs_module, "_offset_slices", counting)
+    quickshift_segment(lab, quiet_params(sigma=1e4, tau=12.0))
+    assert 0 < len(calls) <= bound
+    assert max(max(abs(dy), abs(dx)) for dy, dx in calls) == 7

@@ -129,6 +129,11 @@ class TestSlicSegment:
         with pytest.raises(ValueError):
             SlicParams(num_superpixels=5, max_iterations=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_compactness_rejected(self, bad):
+        with pytest.raises(ValueError, match="compactness"):
+            SlicParams(num_superpixels=5, compactness=bad)
+
     def test_deterministic(self):
         img = smooth_random_image(11)
         lab = srgb_to_lab(img)
