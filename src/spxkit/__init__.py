@@ -16,7 +16,6 @@ The library groups into:
 
 from .color import srgb_to_lab
 from .core import (
-    SCALES_DEFAULT,
     AlgorithmError,
     SuperpixelPartition,
     ValidationResult,
@@ -70,7 +69,6 @@ __all__ = [
     "MetricsReport",
     "MspConfig",
     "QuickShiftParams",
-    "SCALES_DEFAULT",
     "SlicParams",
     "SuperpixelPartition",
     "ValidationResult",

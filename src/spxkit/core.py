@@ -8,7 +8,6 @@ import numpy as np
 
 __all__ = [
     "AlgorithmError",
-    "SCALES_DEFAULT",
     "SuperpixelPartition",
     "ValidationResult",
     "check_feature_map",
@@ -18,10 +17,6 @@ __all__ = [
     "relabel_contiguous",
     "validate_partition",
 ]
-
-# Default multiscale schedule (block counts per stage, small to large).
-SCALES_DEFAULT = (200, 300, 400)
-
 
 class AlgorithmError(RuntimeError):
     """An algorithm produced an internally inconsistent result."""
@@ -39,14 +34,6 @@ class SuperpixelPartition:
     labels: np.ndarray  # (H, W) int32
     num_blocks: int
     block_sizes: np.ndarray  # (num_blocks,) int64
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
 
 
 @dataclass(frozen=True)

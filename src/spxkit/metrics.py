@@ -216,6 +216,8 @@ def spx_boundary_recall(
         raise ValueError(
             f"partition {partition.labels.shape} and gt {g.shape} differ in shape"
         )
+    if tolerance_px < 0:
+        raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
     gm = boundary_mask(g)
     if not gm.any():
         return 1.0

@@ -25,7 +25,6 @@ import numpy as np
 
 from .color import srgb_to_lab
 from .core import (
-    SCALES_DEFAULT,
     SuperpixelPartition,
     check_feature_map,
     check_image,
@@ -213,8 +212,8 @@ class MspConfig:
     """
 
     alpha: float = 0.1
-    scales: tuple[int, ...] = SCALES_DEFAULT
-    segmenter: SlicParams | QuickShiftParams = SlicParams(SCALES_DEFAULT[0])
+    scales: tuple[int, ...] = (200, 300, 400)
+    segmenter: SlicParams | QuickShiftParams = SlicParams(200)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))

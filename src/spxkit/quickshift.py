@@ -32,9 +32,14 @@ class QuickShiftParams:
     color_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        # Comparisons that fail on NaN, so NaN is rejected too.
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        # Comparisons that fail on NaN, so NaN is rejected too. The
+        # density weights use 1 / (2 sigma^2), so both terms must be finite.
+        two_sigma2 = 2.0 * self.sigma * self.sigma
+        if not (self.sigma > 0 and 0 < two_sigma2 < math.inf
+                and 1.0 / two_sigma2 < math.inf):
+            raise ValueError(
+                f"sigma must be > 0 with 1 / (2 sigma^2) finite, got {self.sigma}"
+            )
         if not self.tau >= 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if not 0.0 <= self.color_ratio <= 1.0:

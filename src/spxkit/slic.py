@@ -22,6 +22,14 @@ from .core import SuperpixelPartition, check_lab_image, relabel_contiguous
 __all__ = ["SlicParams", "enforce_connectivity", "slic_segment"]
 
 
+# The fixed schedule: k-means stops after 10 iterations, or sooner once
+# the mean center displacement (combined-distance units) drops below
+# 0.25; connectivity then absorbs fragments under a quarter of S^2.
+_MAX_ITERATIONS = 10
+_RESIDUAL_THRESHOLD = 0.25
+_MIN_REGION_FRACTION = 0.25
+
+
 @dataclass(frozen=True)
 class SlicParams:
     """Tuning knobs for :func:`slic_segment`.
@@ -29,16 +37,13 @@ class SlicParams:
     ``num_superpixels`` is the requested block count; the delivered count
     can deviate (grid rounding, connectivity merges) but stays within
     half the request on smooth inputs. ``compactness`` trades color
-    fidelity against spatial regularity. ``min_region_fraction`` is the
-    size floor for connectivity enforcement, as a fraction of S^2 where
-    S = sqrt(H*W / num_superpixels).
+    fidelity against spatial regularity. The k-means schedule (at most
+    10 iterations) and the connectivity size floor (a quarter of S^2,
+    S = sqrt(H*W / num_superpixels)) are fixed.
     """
 
     num_superpixels: int
     compactness: float = 10.0
-    max_iterations: int = 10
-    residual_threshold: float = 0.25
-    min_region_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         if self.num_superpixels < 1:
@@ -48,10 +53,6 @@ class SlicParams:
         if not 0 < self.compactness < np.inf:  # also rejects NaN
             raise ValueError(
                 f"compactness must be finite and > 0, got {self.compactness}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
             )
 
 
@@ -209,9 +210,10 @@ def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
     """Segment a Lab image into roughly ``params.num_superpixels`` blocks.
 
     Runs windowed k-means until the mean center displacement (in
-    combined-distance units) drops below ``residual_threshold`` or
-    ``max_iterations`` is reached, then enforces connectivity. The
-    result is deterministic and always a valid partition.
+    combined-distance units) drops below 0.25 or 10 iterations are done,
+    then enforces connectivity with a size floor of a quarter of S^2
+    (S = sqrt(H*W / num_superpixels)). The result is deterministic and
+    always a valid partition.
     """
     lab = check_lab_image(lab)
     h, w = lab.shape[:2]
@@ -226,18 +228,17 @@ def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
     yx = np.indices((h, w), dtype=np.float64).reshape(2, -1)
     points = np.vstack([lab.reshape(-1, 3).T, yx[::-1]])  # rows L, a, b, x, y
 
-    labels = None
-    for _ in range(params.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         labels = _assign(lab, centers, spacing, ratio)
         new_centers = _update_centers(points, labels, centers)
         d_c2 = ((new_centers[:, :3] - centers[:, :3]) ** 2).sum(axis=1)
         d_s2 = ((new_centers[:, 3:] - centers[:, 3:]) ** 2).sum(axis=1)
         residual = float(np.mean(np.sqrt(d_c2 + ratio * d_s2)))
         centers = new_centers
-        if residual < params.residual_threshold:
+        if residual < _RESIDUAL_THRESHOLD:
             break
 
-    min_size = max(1, int(params.min_region_fraction * spacing**2))
+    min_size = max(1, int(_MIN_REGION_FRACTION * spacing**2))
     return enforce_connectivity(labels, min_size)
 
 
@@ -256,11 +257,8 @@ def _components_first_appearance(labels: np.ndarray) -> tuple[np.ndarray, int]:
     dst = np.concatenate([idx[:, 1:][right], idx[1:, :][down]])
     graph = coo_matrix((np.ones_like(src), (src, dst)), shape=(h * w, h * w))
     _, flat = connected_components(graph, directed=False)
-    uniq, first = np.unique(flat, return_index=True)
-    order = np.argsort(first)
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[order] = np.arange(uniq.size)
-    return rank[flat].reshape(labels.shape), int(uniq.size)
+    comp = relabel_contiguous(flat.reshape(h, w))
+    return comp.labels.astype(np.int64), comp.num_blocks
 
 
 def _border_neighbors(comp: np.ndarray, ncomp: int) -> list[dict[int, int]]:

@@ -1,0 +1,20 @@
+"""The public surface: every exported name resolves to its defining module."""
+
+import importlib
+from dataclasses import fields
+
+import spxkit
+from spxkit import SlicParams
+
+
+def test_every_export_resolves_and_is_listed_by_its_module():
+    assert len(set(spxkit.__all__)) == len(spxkit.__all__)
+    for name in spxkit.__all__:
+        obj = getattr(spxkit, name)
+        module = importlib.import_module(obj.__module__)
+        assert getattr(module, name) is obj, name
+        assert name in module.__all__, f"{name} missing from {module.__name__}.__all__"
+
+
+def test_slic_params_has_only_the_knobs_callers_set():
+    assert [f.name for f in fields(SlicParams)] == ["num_superpixels", "compactness"]

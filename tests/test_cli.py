@@ -250,6 +250,9 @@ class TestKnobValidation:
             (["--algo", "quickshift", "--sigma", "nan"], "sigma"),
             (["--algo", "quickshift", "--tau", "-10"], "tau"),
             (["--algo", "quickshift", "--tau", "nan"], "tau"),
+            (["--algo", "quickshift", "--sigma", "1e200"], "sigma"),
+            (["--algo", "quickshift", "--sigma", "1e-200"], "sigma"),
+            (["--algo", "quickshift", "--sigma", "1e-160"], "sigma"),
         ],
     )
     def test_superpixel_bad_knob_exits_1(
@@ -428,6 +431,18 @@ class TestSpxEval:
         code, out, _ = run(capsys, ["spx-eval", "--labels", str(lp), "--gt", str(gp)])
         assert code == 0
         assert json.loads(out)["boundary_recall"] == 0.0
+
+    def test_negative_tolerance_exits_1(self, capsys, tmp_path):
+        gt = np.zeros((8, 8), dtype=np.uint32)
+        gt[:, 4:] = 1
+        lp, gp = tmp_path / "l.mspt", tmp_path / "g.mspt"
+        write_mspt(gt, str(lp))
+        write_mspt(gt, str(gp))
+        code, out, err = run(capsys, ["spx-eval", "--labels", str(lp),
+                                      "--gt", str(gp), "--tol", "-1"])
+        assert code == 1
+        assert out == ""
+        assert "tolerance_px" in err
 
 
 class TestGradcheck:

@@ -149,6 +149,27 @@ def test_random_label_maps_match_oracle(raw, min_size):
     assert_matches_oracle(raw, min_size)
 
 
+def test_checkerboard_with_border_keys_past_int32_matches_oracle():
+    # 220^2 singleton components: ncomp > 46341, so the border keys
+    # lo * ncomp + hi pass 2**31 and need int64 component labels.
+    raw = np.indices((220, 220)).sum(axis=0) % 2
+    comp, ncomp = _components_first_appearance(raw)
+    assert ncomp == 220 * 220 and (ncomp - 2) * ncomp > 2**31
+    got = slic_module._border_neighbors(
+        *slic_module._components_first_appearance(raw)
+    )
+    want = _border_neighbors(comp, ncomp)
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    # The oracle's merge loop takes about half an hour here, so its result
+    # is written out: each singleton in turn shares a border of 1 with the
+    # block of component 1 and with each other neighbour, and the tie goes
+    # to the smallest id, so everything ends in one block.
+    part = enforce_connectivity(raw, 2)
+    assert part.num_blocks == 1
+    assert np.array_equal(part.labels, np.zeros((220, 220)))
+    assert np.array_equal(part.block_sizes, [220 * 220])
+
+
 def test_raw_slic_labels_of_noisy_image_match_oracle(monkeypatch):
     # A smooth colour ramp plus sigma=4 noise: k-means on near-flat colour
     # leaves several fragments per cluster for the merge loop to absorb.

@@ -217,6 +217,12 @@ class TestSpxBoundaryRecall:
         expected = hits / len(g_pts)
         assert spx_boundary_recall(part, gt, tol) == pytest.approx(expected, abs=1e-12)
 
+    def test_negative_tolerance_rejected(self):
+        gt = (np.arange(8)[None, :] >= 4) * np.ones((8, 1), dtype=np.int64)
+        part = relabel_contiguous(gt)
+        with pytest.raises(ValueError, match="tolerance_px"):
+            spx_boundary_recall(part, gt, -1)
+
 
 class TestEvaluateSegmentation:
     def test_report_fields_and_label_permutation_invariance(self):

@@ -295,10 +295,7 @@ class TestCascade:
             return slic_segment(lab, params)
 
         monkeypatch.setattr(msgpass_module, "slic_segment", recording)
-        template = SlicParams(
-            num_superpixels=1, compactness=20.0, max_iterations=3,
-            residual_threshold=0.5, min_region_fraction=0.1,
-        )
+        template = SlicParams(num_superpixels=1, compactness=20.0)
         rng = np.random.default_rng(8)
         img = rng.integers(0, 256, (32, 32, 3)).astype(np.uint8)
         x = rng.normal(size=(2, 16, 16))

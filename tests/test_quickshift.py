@@ -194,6 +194,11 @@ def test_param_validation_and_warning():
         ({"sigma": math.inf}, "sigma"),
         ({"tau": -10.0}, "tau"),
         ({"tau": math.nan}, "tau"),
+        # 2 sigma^2 overflows at 1e200 and underflows to 0 at 1e-200; at
+        # 1e-160 it is subnormal and its reciprocal overflows to inf.
+        ({"sigma": 1e200}, "sigma"),
+        ({"sigma": 1e-200}, "sigma"),
+        ({"sigma": 1e-160}, "sigma"),
     ],
 )
 def test_non_finite_or_negative_knobs_rejected(knobs, name):

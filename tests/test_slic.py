@@ -126,8 +126,6 @@ class TestSlicSegment:
             SlicParams(num_superpixels=0)
         with pytest.raises(ValueError):
             SlicParams(num_superpixels=5, compactness=0.0)
-        with pytest.raises(ValueError):
-            SlicParams(num_superpixels=5, max_iterations=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_compactness_rejected(self, bad):

@@ -7,7 +7,9 @@ seed's 3x3 neighborhood) and the original ``_border_neighbors`` (a
 ``np.unique(axis=0)`` over sorted pixel pairs). The library versions
 batch clusters and seeds; labels, centers and neighbor maps must stay
 the same, bit for bit, and the assignment's scratch memory must not
-grow with the cluster count.
+grow with the cluster count. The ``slic_segment`` loop is checked
+against its form from when the iteration cap, residual threshold and
+fragment floor were settable, with their values written in.
 """
 
 import importlib
@@ -124,6 +126,29 @@ def oracle_border_neighbors(comp: np.ndarray, ncomp: int) -> list[dict[int, int]
         neighbors[int(p)][int(q)] = int(c)
         neighbors[int(q)][int(p)] = int(c)
     return neighbors
+
+
+def oracle_slic_segment(lab, num_superpixels, compactness):
+    h, w = lab.shape[:2]
+    spacing = np.sqrt(h * w / num_superpixels)
+    ratio = compactness**2 / spacing**2
+    centers = slic_module._initial_centers(lab, num_superpixels)
+    yx = np.indices((h, w), dtype=np.float64).reshape(2, -1)
+    points = np.vstack([lab.reshape(-1, 3).T, yx[::-1]])
+
+    labels = None
+    for _ in range(10):  # max_iterations
+        labels = slic_module._assign(lab, centers, spacing, ratio)
+        new_centers = slic_module._update_centers(points, labels, centers)
+        d_c2 = ((new_centers[:, :3] - centers[:, :3]) ** 2).sum(axis=1)
+        d_s2 = ((new_centers[:, 3:] - centers[:, 3:]) ** 2).sum(axis=1)
+        residual = float(np.mean(np.sqrt(d_c2 + ratio * d_s2)))
+        centers = new_centers
+        if residual < 0.25:  # residual_threshold
+            break
+
+    min_size = max(1, int(0.25 * spacing**2))  # min_region_fraction
+    return slic_module.enforce_connectivity(labels, min_size)
 
 
 def assert_assign_matches(lab, centers, spacing, ratio):
@@ -327,6 +352,28 @@ def test_arguments_of_real_runs_match_oracle(monkeypatch, noise):
         assert_assign_matches(*args)
     for labels in raw:
         assert_neighbors_match(labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    h=st.integers(2, 40),
+    w=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    image=st.sampled_from(["random", "quantized", "scene"]),
+    compactness=st.sampled_from([0.5, 10.0, 40.0]),
+    data=st.data(),
+)
+def test_slic_segment_matches_oracle(h, w, seed, image, compactness, data):
+    if image == "scene":
+        lab = scene_lab(seed, noise=data.draw(st.sampled_from([0.0, 4.0])))[:h, :w]
+    else:
+        lab = random_lab(np.random.default_rng(seed), h, w, image == "quantized")
+    k = data.draw(st.integers(1, h * w))
+    got = slic_segment(lab, SlicParams(num_superpixels=k, compactness=compactness))
+    want = oracle_slic_segment(lab, k, compactness)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.block_sizes, want.block_sizes)
+    assert got.num_blocks == want.num_blocks
 
 
 def test_assign_scratch_memory_does_not_grow_with_clusters():
