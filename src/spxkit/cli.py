@@ -180,20 +180,13 @@ def _cmd_superpixel(args) -> int:
     return 0
 
 
-def _read_feature_file(path: str) -> np.ndarray:
+def _read_tensor(path: str, ndim: int, dtype: type) -> np.ndarray:
     arr = read_mspt(path)
-    if arr.ndim != 3 or arr.dtype != np.float32:
+    if arr.ndim != ndim or arr.dtype != dtype:
+        layout = "[C,H,W]" if ndim == 3 else "[H,W]"
         raise FormatError(
-            f"{path}: expected a float32 [C,H,W] tensor, got {arr.dtype} {arr.shape}"
-        )
-    return arr
-
-
-def _read_label_file(path: str) -> np.ndarray:
-    arr = read_mspt(path)
-    if arr.ndim != 2 or arr.dtype != np.uint32:
-        raise FormatError(
-            f"{path}: expected a uint32 [H,W] tensor, got {arr.dtype} {arr.shape}"
+            f"{path}: expected a {np.dtype(dtype).name} {layout} tensor, "
+            f"got {arr.dtype} {arr.shape}"
         )
     return arr
 
@@ -201,7 +194,7 @@ def _read_label_file(path: str) -> np.ndarray:
 def _cmd_msp_apply(args) -> int:
     config = _cascade_config(args)
     image = read_ppm(args.image)
-    features = _read_feature_file(args.features)
+    features = _read_tensor(args.features, 3, np.float32)
     out, _ = cascade_forward(features, image, config)
     write_mspt(out.astype(np.float32), args.output)
     return 0
@@ -210,15 +203,15 @@ def _cmd_msp_apply(args) -> int:
 def _cmd_refine(args) -> int:
     config = _cascade_config(args)
     image = read_ppm(args.image)
-    probs = _read_feature_file(args.probs)
+    probs = _read_tensor(args.probs, 3, np.float32)
     labels = refine_probabilities(probs, image, config)
     write_mspt(labels, args.output)
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    pred = _read_label_file(args.pred).astype(np.int64)
-    gt = _read_label_file(args.gt).astype(np.int64)
+    pred = _read_tensor(args.pred, 2, np.uint32).astype(np.int64)
+    gt = _read_tensor(args.gt, 2, np.uint32).astype(np.int64)
     report = evaluate_segmentation(
         pred, gt, args.classes, args.ignore, args.boundary_tol
     )
@@ -227,8 +220,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_spx_eval(args) -> int:
-    labels = _read_label_file(args.labels).astype(np.int64)
-    gt = _read_label_file(args.gt).astype(np.int64)
+    labels = _read_tensor(args.labels, 2, np.uint32).astype(np.int64)
+    gt = _read_tensor(args.gt, 2, np.uint32).astype(np.int64)
     partition = relabel_contiguous(labels)
     report_args = {
         "undersegmentation_error": undersegmentation_error(partition, gt),

@@ -1,14 +1,16 @@
 """Segmentation and superpixel quality measures.
 
 Boundary scores use class-agnostic boundary masks matched under a
-Chebyshev pixel tolerance (default 2). Undersegmentation error uses the
-bounded min(inside, outside) form. Classes absent from both prediction
-and ground truth are excluded from the mIoU mean.
+Chebyshev pixel tolerance (default 2); any tolerance costs O(H·W), and
+one past the image size scores like the image size. Undersegmentation
+error uses the bounded min(inside, outside) form. Classes absent from
+both prediction and ground truth are excluded from the mIoU mean.
+Scratch memory grows with pixels plus classes, never with their product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -39,33 +41,22 @@ class MetricsReport:
     boundary_fscore: float
 
     def to_dict(self) -> dict:
-        return {
-            "miou": self.miou,
-            "per_class_iou": list(self.per_class_iou),
-            "pixel_accuracy": self.pixel_accuracy,
-            "boundary_precision": self.boundary_precision,
-            "boundary_recall": self.boundary_recall,
-            "boundary_fscore": self.boundary_fscore,
-        }
+        return {**asdict(self), "per_class_iou": list(self.per_class_iou)}
 
 
-def confusion_matrix(
-    pred: np.ndarray,
-    gt: np.ndarray,
-    num_classes: int,
-    ignore_label: int | None = None,
-) -> np.ndarray:
-    """Count pixels per (gt class, pred class) pair, skipping ignored gt.
-
-    Entry (g, p) counts pixels whose ground truth is g and prediction p.
-    Labels must lie in [0, num_classes) except for gt pixels equal to
-    ignore_label, which are skipped entirely; an out-of-range label
-    raises and names the first offending pixel.
-    """
+def _check_pair(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = check_label_map(pred)
     g = check_label_map(gt)
     if p.shape != g.shape:
-        raise ValueError(f"pred {p.shape} and gt {g.shape} differ in shape")
+        raise ValueError(f"labels {p.shape} and gt {g.shape} differ in shape")
+    return p, g
+
+
+def _class_pixels(
+    pred: np.ndarray, gt: np.ndarray, num_classes: int, ignore_label: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated int64 (gt, pred) class ids of the pixels not ignored."""
+    p, g = _check_pair(pred, gt)
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
 
@@ -84,10 +75,37 @@ def confusion_matrix(
                 f"{name} label {int(arr[i])} at pixel ({y}, {x}) is outside "
                 f"[0, {num_classes})"
             )
+    return gf[counted], pf[counted]
 
-    joint = gf[counted] * num_classes + pf[counted]
-    counts = np.bincount(joint, minlength=num_classes * num_classes)
+
+def confusion_matrix(
+    pred: np.ndarray,
+    gt: np.ndarray,
+    num_classes: int,
+    ignore_label: int | None = None,
+) -> np.ndarray:
+    """Count pixels per (gt class, pred class) pair, skipping ignored gt.
+
+    Entry (g, p) counts pixels whose ground truth is g and prediction p.
+    Labels must lie in [0, num_classes) except for gt pixels equal to
+    ignore_label, which are skipped entirely; an out-of-range label
+    raises and names the first offending pixel.
+    """
+    g, p = _class_pixels(pred, gt, num_classes, ignore_label)
+    counts = np.bincount(g * num_classes + p, minlength=num_classes * num_classes)
     return counts.reshape(num_classes, num_classes)
+
+
+def _iou(
+    inter: np.ndarray, union: np.ndarray
+) -> tuple[float, tuple[float | None, ...]]:
+    """Mean and per-class IoU; a class with zero union is None and left out."""
+    present = union != 0
+    ious = inter[present] / union[present]
+    per_class = np.full(union.shape, None, dtype=object)
+    per_class[present] = ious.tolist()
+    mean = float(np.mean(ious)) if ious.size else 0.0
+    return mean, tuple(per_class.tolist())
 
 
 def miou(confusion: np.ndarray) -> tuple[float, tuple[float | None, ...]]:
@@ -100,18 +118,7 @@ def miou(confusion: np.ndarray) -> tuple[float, tuple[float | None, ...]]:
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
         raise ValueError(f"confusion matrix must be square, got {cm.shape}")
     diag = np.diag(cm)
-    union = cm.sum(axis=0) + cm.sum(axis=1) - diag
-    per_class: list[float | None] = []
-    present = []
-    for c in range(cm.shape[0]):
-        if union[c] == 0:
-            per_class.append(None)
-        else:
-            iou = float(diag[c] / union[c])
-            per_class.append(iou)
-            present.append(iou)
-    mean = float(np.mean(present)) if present else 0.0
-    return mean, tuple(per_class)
+    return _iou(diag, cm.sum(axis=0) + cm.sum(axis=1) - diag)
 
 
 def boundary_mask(labels: np.ndarray) -> np.ndarray:
@@ -127,11 +134,20 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _dilate_chebyshev(mask: np.ndarray, tolerance_px: int) -> np.ndarray:
-    if tolerance_px <= 0:
-        return mask
-    size = 2 * tolerance_px + 1
-    return ndi.binary_dilation(mask, structure=np.ones((size, size), dtype=bool))
+def _matched(mask: np.ndarray, other: np.ndarray, tolerance_px: int) -> float:
+    """Fraction of ``mask`` pixels within Chebyshev ``tolerance_px`` of ``other``.
+
+    Vacuously 1 for an empty ``mask``. A tolerance past the image size is
+    clamped, since the square window already covers the image; the max
+    filter is separable, so any tolerance costs O(H·W).
+    """
+    if tolerance_px < 0:
+        raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
+    if not mask.any():
+        return 1.0
+    t = min(tolerance_px, max(mask.shape))
+    near = ndi.maximum_filter(other, size=2 * t + 1, mode="constant")
+    return float((mask & near).sum() / mask.sum())
 
 
 def boundary_fscore(
@@ -148,13 +164,7 @@ def boundary_fscore(
     from both masks. An empty mask makes its own ratio vacuously 1; F is
     the harmonic mean (0 when precision + recall is 0).
     """
-    p = check_label_map(pred)
-    g = check_label_map(gt)
-    if p.shape != g.shape:
-        raise ValueError(f"pred {p.shape} and gt {g.shape} differ in shape")
-    if tolerance_px < 0:
-        raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
-
+    p, g = _check_pair(pred, gt)
     pm = boundary_mask(p)
     gm = boundary_mask(g)
     if ignore_label is not None:
@@ -162,16 +172,8 @@ def boundary_fscore(
         pm &= keep
         gm &= keep
 
-    precision = (
-        float((pm & _dilate_chebyshev(gm, tolerance_px)).sum() / pm.sum())
-        if pm.any()
-        else 1.0
-    )
-    recall = (
-        float((gm & _dilate_chebyshev(pm, tolerance_px)).sum() / gm.sum())
-        if gm.any()
-        else 1.0
-    )
+    precision = _matched(pm, gm, tolerance_px)
+    recall = _matched(gm, pm, tolerance_px)
     fscore = (
         0.0
         if precision + recall == 0
@@ -189,19 +191,15 @@ def undersegmentation_error(
     min(|s intersect g|, |s minus g|); the total is normalized by the
     pixel count. Zero iff every block lies inside a single segment.
     """
-    g = check_label_map(gt)
-    if partition.labels.shape != g.shape:
-        raise ValueError(
-            f"partition {partition.labels.shape} and gt {g.shape} differ in shape"
-        )
+    labels, g = _check_pair(partition.labels, gt)
     _, g_ids = np.unique(g.ravel(), return_inverse=True)
     n_seg = int(g_ids.max()) + 1
-    joint = partition.labels.ravel().astype(np.int64) * n_seg + g_ids
-    overlap = np.bincount(joint, minlength=partition.num_blocks * n_seg)
-    overlap = overlap.reshape(partition.num_blocks, n_seg)
-    sizes = partition.block_sizes[:, None]
-    leak = np.minimum(overlap, sizes - overlap)
-    return float(leak[overlap > 0].sum() / g.size)
+    # Counting only the (block, segment) pairs that occur keeps memory
+    # linear in pixels, whatever the block and segment counts.
+    joint = labels.ravel().astype(np.int64) * n_seg + g_ids
+    keys, overlap = np.unique(joint, return_counts=True)
+    sizes = partition.block_sizes[keys // n_seg]
+    return float(np.minimum(overlap, sizes - overlap).sum() / g.size)
 
 
 def spx_boundary_recall(
@@ -211,18 +209,8 @@ def spx_boundary_recall(
 
     Vacuously 1 when the ground truth has no boundary at all.
     """
-    g = check_label_map(gt)
-    if partition.labels.shape != g.shape:
-        raise ValueError(
-            f"partition {partition.labels.shape} and gt {g.shape} differ in shape"
-        )
-    if tolerance_px < 0:
-        raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
-    gm = boundary_mask(g)
-    if not gm.any():
-        return 1.0
-    sm = boundary_mask(partition.labels)
-    return float((gm & _dilate_chebyshev(sm, tolerance_px)).sum() / gm.sum())
+    labels, g = _check_pair(partition.labels, gt)
+    return _matched(boundary_mask(g), boundary_mask(labels), tolerance_px)
 
 
 def evaluate_segmentation(
@@ -233,10 +221,15 @@ def evaluate_segmentation(
     boundary_tolerance_px: int = 2,
 ) -> MetricsReport:
     """Full report: mIoU, per-class IoU, pixel accuracy, boundary P/R/F."""
-    cm = confusion_matrix(pred, gt, num_classes, ignore_label)
-    mean_iou, per_class = miou(cm)
-    total = cm.sum()
-    accuracy = float(np.trace(cm) / total) if total > 0 else 0.0
+    g, p = _class_pixels(pred, gt, num_classes, ignore_label)
+    inter = np.bincount(g[g == p], minlength=num_classes)
+    union = (
+        np.bincount(g, minlength=num_classes)
+        + np.bincount(p, minlength=num_classes)
+        - inter
+    )
+    mean_iou, per_class = _iou(inter, union)
+    accuracy = float(inter.sum() / g.size) if g.size else 0.0
     precision, recall, fscore = boundary_fscore(
         pred, gt, boundary_tolerance_px, ignore_label
     )

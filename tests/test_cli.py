@@ -383,6 +383,29 @@ class TestMetrics:
                                     "--classes", "2", "--boundary-tol", "2"])
         assert json.loads(out)["boundary_fscore"] == 1.0
 
+    def test_huge_boundary_tolerance_scores_like_image_size(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        pred = self.write_labels(tmp_path, "pred.mspt", rng.integers(0, 3, (6, 11)))
+        gt = self.write_labels(tmp_path, "gt.mspt", rng.integers(0, 3, (6, 11)))
+        outs = []
+        for tol in ("11", str(10**30)):
+            code, out, _ = run(capsys, ["metrics", "--pred", pred, "--gt", gt,
+                                        "--classes", "3", "--boundary-tol", tol])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_many_classes_on_a_tiny_map(self, capsys, tmp_path):
+        m = [[0, 1], [99999, 1]]
+        pred = self.write_labels(tmp_path, "pred.mspt", m)
+        gt = self.write_labels(tmp_path, "gt.mspt", m)
+        code, out, _ = run(capsys, ["metrics", "--pred", pred, "--gt", gt,
+                                    "--classes", "100000"])
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["per_class_iou"]) == 100000
+        assert report["miou"] == 1.0
+
     def test_malformed_mspt_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.mspt"
         bad.write_bytes(b"not a tensor")
@@ -431,6 +454,19 @@ class TestSpxEval:
         code, out, _ = run(capsys, ["spx-eval", "--labels", str(lp), "--gt", str(gp)])
         assert code == 0
         assert json.loads(out)["boundary_recall"] == 0.0
+
+    def test_huge_tolerance_scores_like_image_size(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        lp, gp = tmp_path / "l.mspt", tmp_path / "g.mspt"
+        write_mspt(rng.integers(0, 4, (9, 5)).astype(np.uint32), str(lp))
+        write_mspt(rng.integers(0, 2, (9, 5)).astype(np.uint32), str(gp))
+        outs = []
+        for tol in ("9", str(10**30)):
+            code, out, _ = run(capsys, ["spx-eval", "--labels", str(lp),
+                                        "--gt", str(gp), "--tol", tol])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_negative_tolerance_exits_1(self, capsys, tmp_path):
         gt = np.zeros((8, 8), dtype=np.uint32)

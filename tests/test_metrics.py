@@ -46,6 +46,21 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match="shape"):
             confusion_matrix(np.zeros((2, 2), int), np.zeros((2, 3), int), 2)
 
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda a, b: confusion_matrix(a, b, 2),
+            boundary_fscore,
+            lambda a, b: undersegmentation_error(relabel_contiguous(a), b),
+            lambda a, b: spx_boundary_recall(relabel_contiguous(a), b),
+        ],
+        ids=["confusion_matrix", "boundary_fscore", "undersegmentation_error",
+             "spx_boundary_recall"],
+    )
+    def test_every_score_rejects_shape_mismatch(self, score):
+        with pytest.raises(ValueError, match="shape"):
+            score(np.zeros((2, 2), int), np.zeros((2, 3), int))
+
 
 class TestMiou:
     def test_hand_computation(self):
