@@ -263,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # an argument asked for more memory than exists
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2

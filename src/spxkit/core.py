@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,16 +25,24 @@ class AlgorithmError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SuperpixelPartition:
-    """A label map over an H x W pixel grid plus a per-block pixel census.
+    """A label map over an H x W pixel grid; the label map is its only state.
 
     Labels are contiguous ints in [0, num_blocks) and every block is
-    nonempty; ``block_sizes[i]`` is the number of pixels labeled ``i``.
-    Instances are immutable and safe to share across threads.
+    nonempty. The census is derived from the labels on first use:
+    ``block_sizes[i]`` is the number of pixels labeled ``i`` and
+    ``num_blocks`` its length. Instances are immutable and safe to share
+    across threads (computing the census twice gives the same array).
     """
 
     labels: np.ndarray  # (H, W) int32
-    num_blocks: int
-    block_sizes: np.ndarray  # (num_blocks,) int64
+
+    @cached_property
+    def block_sizes(self) -> np.ndarray:
+        return np.bincount(self.labels.ravel()).astype(np.int64)
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.block_sizes)
 
 
 @dataclass(frozen=True)
@@ -49,52 +58,33 @@ class ValidationResult:
 
 
 def validate_partition(partition: SuperpixelPartition) -> ValidationResult:
-    """Check every partition invariant, reporting the first violation found.
+    """Check the label map, reporting the first violation found.
 
-    Checks, in order: label array shape/dtype, label range, label
-    contiguity (every id in [0, K) used), and census correctness.
+    Checks, in order: a nonempty 2-D integer array, no negative label
+    (``pixel`` names the first), and every id in [0, num_blocks) used;
+    an id at or above the pixel count is reported before any census is
+    built. The census is derived from the labels, so it cannot disagree
+    with them.
     """
     labels = partition.labels
     if labels.ndim != 2 or labels.size == 0:
         return ValidationResult(False, "labels must be a nonempty 2-D array")
     if not np.issubdtype(labels.dtype, np.integer):
         return ValidationResult(False, "labels must be an integer array")
-    k = partition.num_blocks
-    if k < 1:
-        return ValidationResult(False, f"num_blocks must be >= 1, got {k}")
 
     flat = labels.ravel()
-    bad = (flat < 0) | (flat >= k)
+    bad = flat < 0
     if bad.any():
         i = int(np.argmax(bad))
         y, x = divmod(i, labels.shape[1])
-        return ValidationResult(
-            False, f"label {int(flat[i])} out of range [0, {k})", (y, x)
-        )
+        return ValidationResult(False, f"label {int(flat[i])} is negative", (y, x))
 
-    counts = np.bincount(flat, minlength=k)
-    missing = np.flatnonzero(counts == 0)
+    top = int(flat.max())
+    if top >= flat.size:  # more ids than pixels, so one below ``top`` is unused
+        return ValidationResult(False, f"label {top} leaves an id below it unused")
+    missing = np.flatnonzero(partition.block_sizes == 0)
     if missing.size:
         return ValidationResult(False, f"label {int(missing[0])} unused")
-
-    sizes = np.asarray(partition.block_sizes)
-    if sizes.shape != (k,):
-        return ValidationResult(
-            False, f"block_sizes must have length {k}, got {sizes.shape}"
-        )
-    if int(sizes.sum()) != labels.size:
-        return ValidationResult(
-            False,
-            f"block_sizes sum {int(sizes.sum())} != pixel count {labels.size}",
-        )
-    mismatch = np.flatnonzero(sizes != counts)
-    if mismatch.size:
-        b = int(mismatch[0])
-        return ValidationResult(
-            False,
-            f"block_sizes[{b}] = {int(sizes[b])} but {int(counts[b])} pixels "
-            f"carry label {b}",
-        )
     return ValidationResult(True)
 
 
@@ -104,22 +94,12 @@ def relabel_contiguous(raw_labels: np.ndarray) -> SuperpixelPartition:
     The result always satisfies every :class:`SuperpixelPartition`
     invariant; applying the function to its own output is the identity.
     """
-    arr = np.asarray(raw_labels)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("raw_labels must be a nonempty 2-D array")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("raw_labels must be an integer array")
-
-    flat = arr.ravel()
-    uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    arr = check_label_map(raw_labels)
+    uniq, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
     order = np.argsort(first)  # unique values sorted by first appearance
     rank = np.empty(uniq.size, dtype=np.int32)
     rank[order] = np.arange(uniq.size, dtype=np.int32)
-    new_labels = rank[inverse].reshape(arr.shape)
-    sizes = np.bincount(new_labels.ravel(), minlength=uniq.size).astype(np.int64)
-    return SuperpixelPartition(
-        labels=new_labels, num_blocks=int(uniq.size), block_sizes=sizes
-    )
+    return SuperpixelPartition(rank[inverse].reshape(arr.shape))
 
 
 def check_image(image: np.ndarray) -> np.ndarray:

@@ -144,8 +144,6 @@ def downsample_partition(
             f"target dims ({target_height}, {target_width}) must be in "
             f"[1, source dims ({h_src}, {w_src})]"
         )
-    if (target_height, target_width) == (h_src, w_src):
-        return relabel_contiguous(partition.labels)
 
     # Inverse of the cell->rows box mapping: row y lands in cell
     # floor(((y + 1) * h - 1) / H).

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import SuperpixelPartition, check_lab_image, relabel_contiguous
+from .core import SuperpixelPartition, check_lab_image, check_label_map, relabel_contiguous
 
 __all__ = ["SlicParams", "enforce_connectivity", "slic_segment"]
 
@@ -293,22 +293,20 @@ def enforce_connectivity(
     first-appearance order). Merges accumulate, so a fragment absorbed
     early still follows its host through later merges.
 
-    One ascending sweep over component ids merges ``r`` if it is still a
-    root, below ``min_size`` and has a neighbour. This equals always
-    merging the smallest eligible root: merges only grow sizes and
-    neighbour maps only name roots, so a root the sweep has passed can
-    never become eligible again.
+    ``raw_labels`` must be a nonempty 2-D integer array. One ascending
+    sweep over component ids merges ``r`` if it is below ``min_size`` and
+    has a neighbour; ``r`` is still a root then, since only its own step
+    points it elsewhere. This equals always merging the smallest eligible
+    root: merges only grow sizes and neighbour maps only name roots, so a
+    root the sweep has passed can never become eligible again.
     """
-    arr = np.asarray(raw_labels)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("raw_labels must be a nonempty 2-D array")
-    comp, ncomp = _components_first_appearance(arr)
+    comp, ncomp = _components_first_appearance(check_label_map(raw_labels))
     sizes = np.bincount(comp.ravel(), minlength=ncomp).astype(np.int64)
     neighbors = _border_neighbors(comp, ncomp)
 
     parent = np.arange(ncomp)
     for r in range(ncomp):
-        if parent[r] != r or sizes[r] >= min_size or not neighbors[r]:
+        if sizes[r] >= min_size or not neighbors[r]:
             continue
         target = max(neighbors[r].items(), key=lambda kv: (kv[1], -kv[0]))[0]
         parent[r] = target

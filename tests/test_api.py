@@ -4,7 +4,7 @@ import importlib
 from dataclasses import fields
 
 import spxkit
-from spxkit import SlicParams
+from spxkit import SlicParams, SuperpixelPartition
 
 
 def test_every_export_resolves_and_is_listed_by_its_module():
@@ -18,3 +18,7 @@ def test_every_export_resolves_and_is_listed_by_its_module():
 
 def test_slic_params_has_only_the_knobs_callers_set():
     assert [f.name for f in fields(SlicParams)] == ["num_superpixels", "compactness"]
+
+
+def test_partition_stores_only_its_labels():
+    assert [f.name for f in fields(SuperpixelPartition)] == ["labels"]

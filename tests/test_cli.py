@@ -406,6 +406,16 @@ class TestMetrics:
         assert len(report["per_class_iou"]) == 100000
         assert report["miou"] == 1.0
 
+    def test_class_count_past_memory_exits_1(self, capsys, tmp_path):
+        m = np.zeros((8, 8), dtype=np.int64)
+        pred = self.write_labels(tmp_path, "pred.mspt", m)
+        gt = self.write_labels(tmp_path, "gt.mspt", m)
+        code, out, err = run(capsys, ["metrics", "--pred", pred, "--gt", gt,
+                                      "--classes", "1000000000000"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
     def test_malformed_mspt_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.mspt"
         bad.write_bytes(b"not a tensor")

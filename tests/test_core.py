@@ -14,36 +14,40 @@ from spxkit import (
 )
 
 
-def make_partition(labels, num_blocks, sizes):
-    return SuperpixelPartition(
-        labels=np.asarray(labels, dtype=np.int32),
-        num_blocks=num_blocks,
-        block_sizes=np.asarray(sizes, dtype=np.int64),
-    )
+def make_partition(labels):
+    return SuperpixelPartition(np.asarray(labels, dtype=np.int32))
 
 
 class TestValidatePartition:
     def test_minimal_two_block_partition(self):
-        part = make_partition([[0, 0], [1, 1]], 2, [2, 2])
+        part = make_partition([[0, 0], [1, 1]])
         assert validate_partition(part).ok
 
     def test_unused_label_rejected(self):
-        part = make_partition([[0, 0], [2, 2]], 3, [2, 0, 2])
+        part = make_partition([[0, 0], [2, 2]])
         verdict = validate_partition(part)
         assert not verdict.ok
         assert "label 1 unused" in verdict.reason
 
-    def test_census_mismatch_rejected(self):
-        part = make_partition([[0, 0], [1, 1]], 2, [3, 1])
-        verdict = validate_partition(part)
-        assert not verdict.ok
-        assert "block_sizes[0]" in verdict.reason
-
     def test_out_of_range_label_names_first_pixel(self):
-        part = make_partition([[0, 5], [1, 1]], 2, [1, 3])
+        part = make_partition([[0, -1], [1, 1]])
         verdict = validate_partition(part)
         assert not verdict.ok
         assert verdict.pixel == (0, 1)
+
+    def test_label_beyond_pixel_count_builds_no_census(self):
+        part = SuperpixelPartition(np.array([[0, 10**15]]))
+        verdict = validate_partition(part)
+        assert not verdict.ok
+        assert "unused" in verdict.reason
+        assert "block_sizes" not in vars(part)
+
+    def test_census_is_computed_once_from_the_labels(self):
+        part = make_partition([[0, 1, 1], [2, 2, 2]])
+        assert part.block_sizes is part.block_sizes
+        assert part.block_sizes.dtype == np.int64
+        assert part.block_sizes.tolist() == [1, 2, 3]
+        assert part.num_blocks == 3
 
 
 class TestRelabelContiguous:
@@ -67,10 +71,14 @@ class TestRelabelContiguous:
         with pytest.raises(ValueError):
             relabel_contiguous(np.empty((0, 3), dtype=np.int64))
 
+    def test_rejects_float_labels(self):
+        with pytest.raises(ValueError, match="integer"):
+            relabel_contiguous(np.zeros((2, 2)))
+
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(1, 6),
-        st.integers(1, 6),
+        st.integers(1, 16),
+        st.integers(1, 16),
         st.integers(0, 2**32 - 1),
     )
     def test_output_always_valid_and_idempotent(self, h, w, seed):
@@ -78,6 +86,9 @@ class TestRelabelContiguous:
         raw = rng.integers(-5, 20, size=(h, w))
         part = relabel_contiguous(raw)
         assert validate_partition(part).ok
+        uniq, first, counts = np.unique(raw, return_index=True, return_counts=True)
+        assert part.block_sizes.tolist() == counts[np.argsort(first)].tolist()
+        assert part.num_blocks == np.unique(raw).size
         again = relabel_contiguous(part.labels)
         assert np.array_equal(again.labels, part.labels)
         assert again.num_blocks == part.num_blocks

@@ -270,3 +270,7 @@ class TestEnforceConnectivity:
         labels = np.array([[1, 1, 1], [2, 0, 3], [3, 3, 3]])
         part = enforce_connectivity(labels, min_size=2)
         assert part.labels.tolist() == [[0, 0, 0], [0, 0, 1], [1, 1, 1]]
+
+    def test_rejects_non_integer_labels(self):
+        with pytest.raises(ValueError, match="integer"):
+            enforce_connectivity(np.zeros((3, 3)), min_size=2)
