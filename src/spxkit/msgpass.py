@@ -13,7 +13,13 @@ superpixels from the full-resolution image and mapping them down to
 feature resolution by per-cell majority vote.
 
 All arithmetic accumulates in float64 in a fixed row-major order, so
-results are bit-reproducible run to run.
+results are bit-reproducible run to run. Block sums are one sparse
+product per channel with the partition's cached CSR membership matrix
+(see :class:`~spxkit.core.SuperpixelPartition`): a CSR row is summed
+from 0.0 over its entries in ascending column order, which is the
+row-major pixel order in which ``np.bincount(labels, weights=row)``
+accumulates, and every entry is 1.0, so each product is exact and the
+sums equal ``bincount``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -68,15 +74,15 @@ def _check_pair(features: np.ndarray, partition: SuperpixelPartition) -> np.ndar
 def _channel_means(x: np.ndarray, partition: SuperpixelPartition):
     """Yield (channel, float64 row copy, block means) per channel, unchecked.
 
-    Sums run over pixels in row-major order via np.bincount, one
-    accumulator per block.
+    Each block sum is a row of the CSR product ``members @ row``: it
+    starts from 0.0 and adds the block's pixels in ascending row-major
+    order, each times an exact 1.0, so it equals the sum that
+    ``np.bincount(labels, weights=row)`` accumulates, bit for bit.
     """
-    flat = partition.labels.ravel()
-    sizes = partition.block_sizes.astype(np.float64)
+    plan = partition._plan
     for c in range(x.shape[0]):
         row = x[c].ravel().astype(np.float64)
-        sums = np.bincount(flat, weights=row, minlength=partition.num_blocks)
-        yield c, row, sums / sizes
+        yield c, row, (plan.members @ row) / plan.sizes
 
 
 def block_means(
@@ -95,7 +101,7 @@ def mean_map(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray
     """
     x = _check_pair(features, partition)
     means = np.array([m for _, _, m in _channel_means(x, partition)])
-    return means[:, partition.labels.ravel()].reshape(x.shape)
+    return np.take(means, partition._plan.index, axis=1).reshape(x.shape)
 
 
 def message_pass(
@@ -104,14 +110,15 @@ def message_pass(
     """Single-scale pass: features + alpha * blockwise mean.
 
     Output dtype matches the input's floating dtype; internals are
-    float64, one channel at a time, so extra memory is O(H*W).
+    float64, one channel at a time, so extra memory is O(H*W) beside
+    the partition's cached plan.
     """
     x = _check_pair(features, partition)
     _check_alpha(alpha)
     out = np.empty_like(x)
-    flat = partition.labels.ravel()
+    idx = partition._plan.index
     for c, row, m in _channel_means(x, partition):
-        row += (alpha * m)[flat]
+        row += np.take(alpha * m, idx)
         out[c] = row.reshape(x.shape[1:])
     return out
 
@@ -169,13 +176,15 @@ class CascadeTrace:
     """Per-stage record of a multiscale forward pass.
 
     ``stages`` holds (requested scale, feature-resolution partition)
-    pairs in application order; scales are strictly increasing and all
-    partitions share one grid shape.
+    pairs in application order; there is at least one, scales are
+    strictly increasing and all partitions share one grid shape.
     """
 
     stages: tuple[tuple[int, SuperpixelPartition], ...]
 
     def __post_init__(self) -> None:
+        if not self.stages:
+            raise ValueError("trace stages must be nonempty")
         scales = [s for s, _ in self.stages]
         if any(b <= a for a, b in zip(scales, scales[1:])):
             raise ValueError(f"trace scales must be strictly increasing: {scales}")
@@ -189,7 +198,12 @@ def cascade_apply(
     partitions: list[SuperpixelPartition] | tuple[SuperpixelPartition, ...],
     alpha: float,
 ) -> np.ndarray:
-    """Chain single-scale passes over the given partitions, in order."""
+    """Chain single-scale passes over the given partitions, in order.
+
+    At least one partition is required, so every input is checked.
+    """
+    if not partitions:
+        raise ValueError("partitions must be nonempty")
     x = np.asarray(features)
     for part in partitions:
         x = message_pass(x, part, alpha)

@@ -1,3 +1,4 @@
+import functools
 import importlib
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from spxkit import (
     CascadeTrace,
     MspConfig,
     SlicParams,
+    SuperpixelPartition,
     block_means,
     cascade_apply,
     cascade_backward,
@@ -338,6 +340,54 @@ class TestCascade:
         x[1, 3, 5] = np.nan
         with pytest.raises(ValueError, match="finite"):
             cascade_forward(x, img, MspConfig(scales=(2,)))
+
+    @pytest.mark.parametrize(
+        "features, alpha",
+        [
+            (np.array([[[1, 2]]]), float("nan")),  # integer map, NaN alpha
+            (np.full((1, 2, 2), np.nan), -1.0),
+        ],
+    )
+    def test_apply_rejects_an_empty_cascade(self, features, alpha):
+        # With no stage nothing would check the input, so it would come
+        # back unchanged whatever it held.
+        for empty in ([], ()):
+            with pytest.raises(ValueError, match="partitions must be nonempty"):
+                cascade_apply(features, empty, alpha)
+
+    def test_trace_rejects_no_stages(self):
+        with pytest.raises(ValueError, match="stages must be nonempty"):
+            CascadeTrace(stages=())
+
+    def test_each_partition_builds_its_plan_once(self, monkeypatch):
+        # A forward and a backward pass over three stages use each
+        # partition twice and build its plan once; message_pass stays the
+        # module-global entry point of every stage.
+        build = SuperpixelPartition._plan.func
+        built = []
+
+        def counting_build(part):
+            built.append(part)
+            return build(part)
+
+        plan = functools.cached_property(counting_build)
+        plan.__set_name__(SuperpixelPartition, "_plan")
+        monkeypatch.setattr(SuperpixelPartition, "_plan", plan)
+        passes = []
+        real_pass = msgpass_module.message_pass
+
+        def counting_pass(features, partition, alpha):
+            passes.append(partition)
+            return real_pass(features, partition, alpha)
+
+        monkeypatch.setattr(msgpass_module, "message_pass", counting_pass)
+        rng = np.random.default_rng(13)
+        parts = [random_partition(12, 12, k, rng) for k in (3, 6, 9)]
+        x, g = rng.normal(size=(2, 3, 12, 12))
+        cascade_apply(x, parts, 0.1)
+        cascade_backward(g, CascadeTrace(stages=tuple(zip((3, 6, 9), parts))), 0.1)
+        assert [id(p) for p in passes] == [id(p) for p in parts + parts[::-1]]
+        assert [id(p) for p in built] == [id(p) for p in parts]
 
 
 class TestRefineProbabilities:

@@ -277,3 +277,59 @@ def test_random_partition_memory_is_linear_in_pixels():
         tracemalloc.stop()
     assert part.num_blocks == 400
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _oracle_cascade(x, parts, alpha):
+    # Channels are independent, so the oracle runs on 8 at a time to keep
+    # its (C, H, W) float64 temporaries small.
+    out = np.empty_like(x)
+    for c in range(0, x.shape[0], 8):
+        y = x[c : c + 8]
+        for part in parts:
+            y = message_pass(y, part, alpha)
+        out[c : c + 8] = y
+    return out
+
+
+def test_cascade_at_workload_scale_matches_oracle():
+    # 64 float32 channels at 256x256 over hundreds of blocks: long CSR
+    # rows and hundreds of them, which the small cases never reach.
+    rng = np.random.default_rng(5)
+    parts = [msgpass.random_partition(256, 256, k, rng) for k in (200, 300, 400)]
+    x, g = rng.standard_normal((2, 64, 256, 256), dtype=np.float32)
+    out = msgpass.cascade_apply(x, parts, 0.1)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, _oracle_cascade(x, parts, 0.1))
+    trace = msgpass.CascadeTrace(stages=tuple(zip((200, 300, 400), parts)))
+    grad = msgpass.cascade_backward(g, trace, 0.1)
+    assert np.array_equal(grad, _oracle_cascade(g, parts[::-1], 0.1))
+
+
+def test_hand_built_label_layouts_match_oracle():
+    # A transposed int64 view and a uint32 copy of the same labels.
+    rng = np.random.default_rng(6)
+    base = msgpass.random_partition(21, 17, 30, rng).labels
+    x = rng.standard_normal((3, 17, 21))
+    for labels in (base.astype(np.int64).T, base.T.astype(np.uint32)):
+        part = SuperpixelPartition(labels)
+        assert np.array_equal(msgpass.message_pass(x, part, 0.7), message_pass(x, part, 0.7))
+        assert np.array_equal(msgpass.block_means(x, part), block_means(x, part))
+        assert np.array_equal(msgpass.mean_map(x, part), mean_map(x, part))
+
+
+def test_message_pass_memory_is_linear_in_pixels():
+    # One pass on a (64, 256, 256) float32 map may add O(H*W) beside its
+    # output: the partition's plan (~20 B/pixel), a float64 row and its
+    # gathered message. The oracle's (C, H, W) float64 temporaries would
+    # add at least 16 B per element, 64 MiB here.
+    rng = np.random.default_rng(7)
+    part = msgpass.random_partition(256, 256, 300, rng)
+    x = rng.standard_normal((64, 256, 256), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = msgpass.message_pass(x, part, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    extra = peak - out.nbytes
+    assert extra < 64 * 256 * 256, f"{extra / 2**20:.1f} MiB beside the output"
