@@ -128,9 +128,9 @@ def read_ppm(path: str) -> np.ndarray:
 
 def write_ppm(image: np.ndarray, path: str) -> None:
     """Write an (H, W, 3) uint8 array as binary P6 PPM, maxval 255."""
-    arr = np.ascontiguousarray(np.asarray(image, dtype=np.uint8))
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"image must have shape (H, W, 3), got {arr.shape}")
+    arr = np.asarray(image)
+    if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
+        raise ValueError(f"image must be (H, W, 3) uint8, got {arr.shape} {arr.dtype}")
     h, w = arr.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
@@ -144,9 +144,9 @@ def read_pgm(path: str) -> np.ndarray:
 
 def write_pgm(image: np.ndarray, path: str) -> None:
     """Write an (H, W) uint8 array as binary P5 PGM, maxval 255."""
-    arr = np.ascontiguousarray(np.asarray(image, dtype=np.uint8))
-    if arr.ndim != 2:
-        raise ValueError(f"image must have shape (H, W), got {arr.shape}")
+    arr = np.asarray(image)
+    if arr.ndim != 2 or arr.dtype != np.uint8:
+        raise ValueError(f"image must be (H, W) uint8, got {arr.shape} {arr.dtype}")
     h, w = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

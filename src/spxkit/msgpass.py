@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -214,8 +215,8 @@ def cascade_apply(
 class MspConfig:
     """Settings for the multiscale message-passing cascade.
 
-    ``scales`` lists the requested block count per stage and must be
-    strictly increasing (large blocks first, finer blocks later).
+    ``scales`` lists the requested block count per stage, integers that
+    must be strictly increasing (large blocks first, finer blocks later).
     ``alpha`` weights the block-mean message added back to each feature.
     ``segmenter`` picks the superpixel generator and holds its knobs: a
     :class:`SlicParams` is a template whose ``num_superpixels`` each
@@ -228,12 +229,13 @@ class MspConfig:
     segmenter: SlicParams | QuickShiftParams = SlicParams(200)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
+        object.__setattr__(self, "scales", tuple(self.scales))
         _check_alpha(self.alpha)
         if not self.scales:
             raise ValueError("scales must be nonempty")
-        if any(s < 1 for s in self.scales):
-            raise ValueError(f"every scale must be >= 1, got {self.scales}")
+        if any(not isinstance(s, Integral) or s < 1 for s in self.scales):
+            raise ValueError(f"every scale must be an integer >= 1, got {self.scales}")
+        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
         if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise ValueError(
                 "scales must be strictly increasing (each scale must exceed "

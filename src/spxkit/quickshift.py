@@ -3,10 +3,11 @@
 Each pixel carries a 5-D feature (scaled L, a, b, x, y). Density is a
 truncated Gaussian sum over a square window of radius ceil(3*sigma)
 (capped at max(H, W) - 1: every farther offset leaves the image),
-which is also the search window for links. Every pixel links to its
-nearest neighbor that ranks strictly higher in the (density, row-major
-index) lexicographic order, provided the 5-D distance is at most tau;
-the resulting link graph is a forest and each tree is one superpixel.
+which is also the search window for links. Every pixel starts as its
+own root and links to its nearest neighbor of strictly higher density,
+provided the 5-D distance is at most tau; on equal density, the neighbor
+at offset (dy, dx) ranks higher when its row-major index step dy*W + dx
+is negative. The links form a forest and each tree is one superpixel.
 """
 
 from __future__ import annotations
@@ -87,62 +88,57 @@ def quickshift_segment(
 ) -> SuperpixelPartition:
     """Segment a Lab image by Quick Shift mode seeking.
 
-    Deterministic: density sums accumulate per window offset in
-    row-major order, distances sum their terms in a fixed order (see
-    ``_sq_dist``), and distance ties between link candidates go to
-    the candidate with the smaller row-major index. The link search
-    skips window offsets whose spatial distance alone exceeds tau; no
-    such offset can supply a link, so the labels are unchanged.
+    Deterministic: every pixel starts as its own root, density sums
+    accumulate per window offset in row-major order, distances sum
+    their terms in a fixed order (see ``_sq_dist``), density ties go by
+    the sign of the offset's index step dy*W + dx, and distance ties
+    between link candidates go to the smaller row-major index. The link
+    search skips window offsets whose spatial distance alone exceeds
+    tau; no such offset can supply a link, so the labels are unchanged.
     """
     lab = check_lab_image(lab)
     h, w = lab.shape[:2]
 
     color = np.moveaxis(lab * params.color_ratio, 2, 0).copy()
-    # Farther offsets have empty slices, which both loops skip anyway.
+    # Farther offsets leave the image; both passes walk the ones that overlap it.
     radius = min(int(math.ceil(3.0 * params.sigma)), max(h, w) - 1)
-    inv_two_sigma2 = 1.0 / (2.0 * params.sigma**2)
-
-    density = np.zeros((h, w))
+    window = []
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             a, b = _offset_slices(h, w, dy, dx)
-            if a[0].start >= a[0].stop or a[1].start >= a[1].stop:
-                continue
-            d2 = _sq_dist(color, a, b, dy, dx)
-            d2 *= -inv_two_sigma2
-            density[a] += np.exp(d2)
+            if a[0].start < a[0].stop and a[1].start < a[1].stop:
+                window.append((dy, dx, a, b))
+
+    inv_two_sigma2 = 1.0 / (2.0 * params.sigma**2)
+    density = np.zeros((h, w))
+    for dy, dx, a, b in window:
+        d2 = _sq_dist(color, a, b, dy, dx)
+        d2 *= -inv_two_sigma2
+        density[a] += np.exp(d2)
 
     idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    parent = idx.copy()
     best_d2 = np.full((h, w), np.inf)
-    parent = np.full((h, w), -1, dtype=np.int64)
     tau2 = params.tau**2
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            # d2 adds dx*dx and dy*dy (exact integers) to the nonnegative
-            # colour terms, and rounding is monotone, so here
-            # d2 >= dx*dx + dy*dy > tau2 and ``take`` would be all False.
-            if (dy == 0 and dx == 0) or dy * dy + dx * dx > tau2:
-                continue
-            a, b = _offset_slices(h, w, dy, dx)
-            if a[0].start >= a[0].stop or a[1].start >= a[1].stop:
-                continue
-            d2 = _sq_dist(color, a, b, dy, dx)
-            higher = (density[b] > density[a]) | (
-                (density[b] == density[a]) & (idx[b] < idx[a])
-            )
-            take = higher & (d2 <= tau2) & (d2 < best_d2[a])
-            view_best = best_d2[a]
-            view_parent = parent[a]
-            view_best[take] = d2[take]
-            view_parent[take] = idx[b][take]
+    for dy, dx, a, b in window:
+        # d2 adds dx*dx and dy*dy (exact integers) to the nonnegative
+        # colour terms, and rounding is monotone, so here
+        # d2 >= dx*dx + dy*dy > tau2 and ``take`` would be all False.
+        if (dy == 0 and dx == 0) or dy * dy + dx * dx > tau2:
+            continue
+        d2 = _sq_dist(color, a, b, dy, dx)
+        # |dx| < w on an overlapping offset, so dy*w + dx is the index step.
+        if dy * w + dx < 0:
+            higher = density[b] >= density[a]
+        else:
+            higher = density[b] > density[a]
+        take = higher & (d2 <= tau2) & (d2 < best_d2[a])
+        best_d2[a][take] = d2[take]
+        parent[a][take] = idx[b][take]
 
-    flat_parent = parent.ravel()
-    roots = np.where(flat_parent < 0, np.arange(h * w), flat_parent)
-    while True:
-        hopped = roots[roots]
-        if np.array_equal(hopped, roots):
-            break
-        roots = hopped
+    roots = parent.ravel()
+    while not np.array_equal(roots[roots], roots):
+        roots = roots[roots]
     return relabel_contiguous(roots.reshape(h, w))
 
 

@@ -12,6 +12,7 @@ always valid and 4-connected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -34,21 +35,21 @@ _MIN_REGION_FRACTION = 0.25
 class SlicParams:
     """Tuning knobs for :func:`slic_segment`.
 
-    ``num_superpixels`` is the requested block count; the delivered count
-    can deviate (grid rounding, connectivity merges) but stays within
-    half the request on smooth inputs. ``compactness`` trades color
-    fidelity against spatial regularity. The k-means schedule (at most
-    10 iterations) and the connectivity size floor (a quarter of S^2,
-    S = sqrt(H*W / num_superpixels)) are fixed.
+    ``num_superpixels`` is the requested block count, an integer >= 1;
+    the delivered count can deviate (grid rounding, connectivity merges)
+    but stays within half the request on smooth inputs. ``compactness``
+    trades color fidelity against spatial regularity. The k-means
+    schedule (at most 10 iterations) and the connectivity size floor (a
+    quarter of S^2, S = sqrt(H*W / num_superpixels)) are fixed.
     """
 
     num_superpixels: int
     compactness: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.num_superpixels < 1:
+        if not isinstance(self.num_superpixels, Integral) or self.num_superpixels < 1:
             raise ValueError(
-                f"num_superpixels must be >= 1, got {self.num_superpixels}"
+                f"num_superpixels must be an integer >= 1, got {self.num_superpixels}"
             )
         if not 0 < self.compactness < np.inf:  # also rejects NaN
             raise ValueError(
@@ -315,9 +316,9 @@ def enforce_connectivity(
             if nbr == target:
                 continue
             neighbors[target][nbr] = neighbors[target].get(nbr, 0) + cnt
-            moved = neighbors[nbr].pop(r, 0)
-            if moved:
-                neighbors[nbr][target] = neighbors[nbr].get(target, 0) + moved
+            # The maps stay symmetric with counts >= 1: nbr's holds r with cnt.
+            del neighbors[nbr][r]
+            neighbors[nbr][target] = neighbors[nbr].get(target, 0) + cnt
         neighbors[target].pop(r, None)
         neighbors[r] = {}
 

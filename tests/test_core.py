@@ -123,6 +123,13 @@ class TestMspConfig:
         with pytest.raises(ValueError, match="scale"):
             MspConfig(scales=(0, 10))
 
+    def test_scales_must_be_integers(self):
+        with pytest.raises(ValueError, match="integer"):
+            MspConfig(scales=(1.5, 2.5))
+        scales = MspConfig(scales=[np.int64(4), np.int32(9), 16]).scales
+        assert scales == (4, 9, 16)
+        assert all(type(s) is int for s in scales)
+
     def test_rejects_unknown_segmenter(self):
         with pytest.raises(ValueError, match="segmenter"):
             MspConfig(segmenter="watershed")

@@ -49,6 +49,13 @@ class TestPpm:
             write_ppm(img, str(path))
             assert np.array_equal(read_ppm(str(path)), img)
 
+    def test_write_rejects_non_uint8(self, tmp_path):
+        path = tmp_path / "x.ppm"
+        # 300 would wrap to 44 if it were cast; nothing may be written.
+        with pytest.raises(ValueError, match="uint8"):
+            write_ppm(np.full((2, 2, 3), 300), str(path))
+        assert not path.exists()
+
     def test_header_comment_parses_identically(self, tmp_path):
         payload = bytes(range(12))
         plain = tmp_path / "plain.ppm"
@@ -132,6 +139,13 @@ class TestPgm:
         path = tmp_path / "g.pgm"
         write_pgm(img, str(path))
         assert np.array_equal(read_pgm(str(path)), img)
+
+    def test_write_rejects_non_uint8(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        # A NaN would be cast to 0 with only a RuntimeWarning.
+        with pytest.raises(ValueError, match="uint8"):
+            write_pgm(np.full((2, 2), np.nan), str(path))
+        assert not path.exists()
 
 
 class TestMspt:

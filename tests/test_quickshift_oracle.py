@@ -1,10 +1,12 @@
 """Quick Shift against the earlier implementation, and the shared sweep.
 
 The oracle below is the original ``quickshift_segment``, which scans every
-window offset for links, and the original ``quickshift_match_scale``,
-which restarts its sigma sweep on every call. The library versions skip
-offsets beyond tau and share one sweep across the scales of a cascade;
-labels and cascade outputs must stay the same, bit for bit.
+window offset for links and breaks density ties by comparing row-major
+indices, and the original ``quickshift_match_scale``, which restarts its
+sigma sweep on every call. The library versions skip offsets beyond tau,
+break density ties by the sign of the offset's index step, and share one
+sweep across the scales of a cascade; labels and cascade outputs must
+stay the same, bit for bit.
 """
 
 import importlib
@@ -14,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spxkit import (
@@ -134,14 +136,36 @@ def lab_images(draw):
     h, w = draw(st.integers(2, 20)), draw(st.integers(2, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # Blocky images (cell > 1) hold equal features, so density ties and
-    # equal link distances reach the tie rules.
+    # equal link distances reach the tie rules. Constant images, and
+    # images with two levels per channel, tie density over whole regions
+    # and between lone pixels of one colour, so links on both signs of
+    # the offset's index step meet the density tie rule.
     cell = draw(st.integers(1, 4))
-    coarse = rng.integers(0, 256, (-(-h // cell), -(-w // cell), 3))
+    shape = (-(-h // cell), -(-w // cell), 3)
+    levels = draw(st.sampled_from([None, 1, 2]))
+    if levels is None:
+        coarse = rng.integers(0, 256, shape)
+    else:  # channel c of every pixel takes one of values[:, c]
+        values = rng.integers(0, 256, (levels, 3))
+        coarse = values[rng.integers(0, levels, shape), np.arange(3)]
     img = np.repeat(np.repeat(coarse, cell, axis=0), cell, axis=1)[:h, :w]
     return srgb_to_lab(img.astype(np.uint8))
 
 
+# Two levels per channel: the magenta pair, the blue pair and the four
+# lone pixels (density 1, every other term underflows) each tie in
+# density, and here the labels change if density ties go to the larger
+# row-major index.
+TIE_SCENE = np.array(
+    [[(255, 0, 255), (255, 255, 255), (0, 255, 255), (0, 0, 255)],
+     [(255, 0, 255), (0, 0, 255), (0, 0, 0), (255, 0, 0)]],
+    dtype=np.uint8,
+)
+
+
 @settings(max_examples=80, deadline=None)
+@example(lab=srgb_to_lab(TIE_SCENE), sigma=0.5, color_ratio=0.1, tau_frac=0.5,
+         tau_mode="unpruned")
 @given(
     lab=lab_images(),
     sigma=st.floats(0.5, 4.0),
@@ -282,7 +306,7 @@ def test_window_is_capped_by_the_image(monkeypatch):
     want = oracle_quickshift_segment(lab, params)
     assert np.array_equal(quickshift_segment(lab, params).labels, want.labels)
 
-    bound = 2 * (2 * 7 + 1) ** 2  # both sweeps over |dy|, |dx| <= 7
+    bound = (2 * 7 + 1) ** 2  # one walk over |dy|, |dx| <= 7
     calls = []
 
     def counting(h, w, dy, dx):
@@ -294,3 +318,22 @@ def test_window_is_capped_by_the_image(monkeypatch):
     quickshift_segment(lab, quiet_params(sigma=1e4, tau=12.0))
     assert 0 < len(calls) <= bound
     assert max(max(abs(dy), abs(dx)) for dy, dx in calls) == 7
+
+
+def test_each_window_offset_is_sliced_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    lab = srgb_to_lab(rng.integers(0, 256, (9, 7, 3)).astype(np.uint8))
+    calls = []
+
+    def counting(h, w, dy, dx):
+        calls.append((dy, dx))
+        return _offset_slices(h, w, dy, dx)
+
+    monkeypatch.setattr(qs_module, "_offset_slices", counting)
+    # Radius 3 and tau = inf: all 49 offsets overlap the image, and the
+    # density and link passes both use every one of them.
+    params = QuickShiftParams(sigma=1.0, tau=math.inf)
+    got = quickshift_segment(lab, params)
+    window = [(dy, dx) for dy in range(-3, 4) for dx in range(-3, 4)]
+    assert sorted(calls) == window
+    assert np.array_equal(got.labels, oracle_quickshift_segment(lab, params).labels)

@@ -127,6 +127,11 @@ class TestSlicSegment:
         with pytest.raises(ValueError):
             SlicParams(num_superpixels=5, compactness=0.0)
 
+    def test_num_superpixels_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="integer"):
+            SlicParams(num_superpixels=2.5)
+        assert SlicParams(num_superpixels=np.int64(5)) == SlicParams(num_superpixels=5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_compactness_rejected(self, bad):
         with pytest.raises(ValueError, match="compactness"):
