@@ -4,6 +4,9 @@ Pipeline: 8-bit sRGB -> linear RGB (standard transfer function with the
 0.04045 threshold) -> XYZ (sRGB/D65 matrix) -> L*a*b* with the cube-root
 break at (6/29)^3. The white point is taken as the matrix row sums so a
 neutral input maps to exactly a = b = 0 and (255,255,255) to L = 100.
+An 8-bit channel has only 256 levels, so the transfer function is
+evaluated once, at import, into a 256-entry table that every conversion
+indexes with the image itself.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ def _linearize(srgb: np.ndarray) -> np.ndarray:
     )
 
 
+_LINEAR = _linearize(np.arange(256) / 255.0)  # linear value of each 8-bit level
+
+
 def _f(t: np.ndarray) -> np.ndarray:
     return np.where(t > _EPS, np.cbrt(t), t / (3.0 * _DELTA**2) + 4.0 / 29.0)
 
@@ -43,7 +49,7 @@ def srgb_to_lab(image: np.ndarray) -> np.ndarray:
     [-128, 127] for in-gamut inputs.
     """
     arr = check_image(image)
-    rgb = _linearize(arr.astype(np.float64) / 255.0)
+    rgb = _LINEAR[arr]
     xyz = rgb @ _RGB_TO_XYZ.T
     fxyz = _f(xyz / _WHITE)
     lab = np.empty_like(fxyz)

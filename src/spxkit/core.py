@@ -124,13 +124,27 @@ def relabel_contiguous(raw_labels: np.ndarray) -> SuperpixelPartition:
 
     The result always satisfies every :class:`SuperpixelPartition`
     invariant; applying the function to its own output is the identity.
+
+    A map with values in [0, H*W) is ranked through a table indexed by
+    value: ``np.minimum.at`` records each value's first pixel, a bool
+    mask over the pixels lists the used values in first-appearance
+    order, and one gather maps every pixel to its rank, so nothing is
+    sorted. Any other map is first compressed to [0, U) with
+    ``np.unique(..., return_inverse=True)``.
     """
     arr = check_label_map(raw_labels)
-    uniq, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # unique values sorted by first appearance
-    rank = np.empty(uniq.size, dtype=np.int32)
-    rank[order] = np.arange(uniq.size, dtype=np.int32)
-    return SuperpixelPartition(rank[inverse].reshape(arr.shape))
+    flat = arr.ravel()
+    n = flat.size
+    if flat.min() < 0 or flat.max() >= n:
+        flat = np.unique(flat, return_inverse=True)[1].ravel()
+    first = np.full(int(flat.max()) + 1, n, dtype=np.intp)
+    np.minimum.at(first, flat, np.arange(n))
+    starts = np.zeros(n, dtype=bool)
+    starts[first[first < n]] = True
+    values = flat[np.flatnonzero(starts)]  # used values, first appearance first
+    rank = np.empty(first.size, dtype=np.int32)  # unused values are never read
+    rank[values] = np.arange(values.size, dtype=np.int32)
+    return SuperpixelPartition(rank[flat].reshape(arr.shape))
 
 
 def check_image(image: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ Scratch memory grows with pixels plus classes, never with their product.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -137,12 +138,14 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
 def _matched(mask: np.ndarray, other: np.ndarray, tolerance_px: int) -> float:
     """Fraction of ``mask`` pixels within Chebyshev ``tolerance_px`` of ``other``.
 
-    Vacuously 1 for an empty ``mask``. A tolerance past the image size is
-    clamped, since the square window already covers the image; the max
-    filter is separable, so any tolerance costs O(H·W).
+    Vacuously 1 for an empty ``mask``. The tolerance must be an integer
+    >= 0, since a fractional or NaN one has no centred window. A
+    tolerance past the image size is clamped, since the square window
+    already covers the image; the max filter is separable, so any
+    tolerance costs O(H·W).
     """
-    if tolerance_px < 0:
-        raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
+    if not isinstance(tolerance_px, Integral) or tolerance_px < 0:
+        raise ValueError(f"tolerance_px must be an integer >= 0, got {tolerance_px}")
     if not mask.any():
         return 1.0
     t = min(tolerance_px, max(mask.shape))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -151,6 +152,8 @@ def quickshift_match_scale(
 ) -> SuperpixelPartition:
     """Sweep sigma downward until the block count reaches target_blocks / 2.
 
+    ``target_blocks`` must be an integer >= 1.
+
     Quick Shift has no direct block-count control, so sigma is shrunk
     geometrically (factor 0.8, at most 8 attempts) and the last result
     is returned as-is even when the target is missed; a miss emits a
@@ -164,8 +167,8 @@ def quickshift_match_scale(
     segment each sigma once. The sweep always starts at
     ``params.sigma``, so repeated sigmas are equal floats.
     """
-    if target_blocks < 1:
-        raise ValueError(f"target_blocks must be >= 1, got {target_blocks}")
+    if not isinstance(target_blocks, Integral) or target_blocks < 1:
+        raise ValueError(f"target_blocks must be an integer >= 1, got {target_blocks}")
     if memo is None:
         memo = {}
     sigma = params.sigma

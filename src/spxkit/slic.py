@@ -6,7 +6,9 @@ neighborhood, assignment searches a 2S x 2S window per cluster with a
 strict-improvement update rule, and center updates accumulate in a
 fixed row-major order. A connectivity pass then splits stray components
 and absorbs fragments below a size floor, so the returned partition is
-always valid and 4-connected.
+always valid and 4-connected. The components come from one raster
+labelling (``scipy.ndimage.label``) of a grid that holds the pixels and
+the links between equal-label 4-neighbours.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy import ndimage as ndi
 
 from .core import SuperpixelPartition, check_lab_image, check_label_map, relabel_contiguous
 
@@ -57,18 +58,6 @@ class SlicParams:
             )
 
 
-def _lab_gradient(lab: np.ndarray) -> np.ndarray:
-    """Squared Lab difference of horizontal plus vertical neighbors.
-
-    Central differences with edge-replicated borders, so the map is
-    defined (and deterministic) at every pixel.
-    """
-    padded = np.pad(lab, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    dx = padded[1:-1, 2:] - padded[1:-1, :-2]
-    dy = padded[2:, 1:-1] - padded[:-2, 1:-1]
-    return (dx**2).sum(axis=2) + (dy**2).sum(axis=2)
-
-
 def _initial_centers(lab: np.ndarray, num_superpixels: int) -> np.ndarray:
     """Seed centers as (L, a, b, x, y) rows, row-major grid order.
 
@@ -93,11 +82,20 @@ def _initial_centers(lab: np.ndarray, num_superpixels: int) -> np.ndarray:
     py = np.clip(np.rint(cy).astype(np.intp), 0, h - 1)
     px = np.clip(np.rint(cx).astype(np.intp), 0, w - 1)
 
-    padded = np.pad(_lab_gradient(lab), 1, constant_values=np.inf)
-    offsets = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
-    around = np.stack([padded[py + 1 + dy, px + 1 + dx] for dy, dx in offsets])
+    # The gradient is taken only at the 9 neighbors of each seed: the
+    # squared Lab central differences, horizontal plus vertical, with
+    # edge-replicated borders; a neighbor off the image counts as +inf.
+    offsets = np.array([(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+    ny = py + offsets[:, :1]  # (9, seeds)
+    nx = px + offsets[:, 1:]
+    off = (ny < 0) | (ny >= h) | (nx < 0) | (nx >= w)
+    ny, nx = np.clip(ny, 0, h - 1), np.clip(nx, 0, w - 1)
+    dx = lab[ny, np.minimum(nx + 1, w - 1)] - lab[ny, np.maximum(nx - 1, 0)]
+    dy = lab[np.minimum(ny + 1, h - 1), nx] - lab[np.maximum(ny - 1, 0), nx]
+    around = (dx**2).sum(axis=2) + (dy**2).sum(axis=2)
+    around[off] = np.inf
     moved = around.min(axis=0) < around[4]  # around[4] is the seed itself
-    step = np.array(offsets)[np.argmin(around[:, moved], axis=0)]
+    step = offsets[np.argmin(around[:, moved], axis=0)]
     py[moved] += step[:, 0]
     px[moved] += step[:, 1]
     cy[moved] = py[moved]
@@ -246,20 +244,20 @@ def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
 def _components_first_appearance(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """4-connected components of equal-label regions.
 
-    One connected-components pass over the graph whose edges join
-    4-adjacent pixels of equal label. Component ids are assigned in
-    row-major first-appearance order.
+    One raster labelling of a (2H-1) x (2W-1) bool grid: pixels sit at
+    the even/even nodes, and the node between two 4-adjacent pixels is
+    set when their labels are equal (odd/odd nodes stay unset), so the
+    4-connected components of the grid are those of the label map. The
+    first node of each grid component in raster order is a pixel, so
+    ``ndi.label``'s ids already follow row-major first appearance.
     """
     h, w = labels.shape
-    idx = np.arange(h * w).reshape(h, w)
-    right = labels[:, :-1] == labels[:, 1:]
-    down = labels[:-1, :] == labels[1:, :]
-    src = np.concatenate([idx[:, :-1][right], idx[:-1, :][down]])
-    dst = np.concatenate([idx[:, 1:][right], idx[1:, :][down]])
-    graph = coo_matrix((np.ones_like(src), (src, dst)), shape=(h * w, h * w))
-    _, flat = connected_components(graph, directed=False)
-    comp = relabel_contiguous(flat.reshape(h, w))
-    return comp.labels.astype(np.int64), comp.num_blocks
+    grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    grid[::2, ::2] = True
+    grid[::2, 1::2] = labels[:, :-1] == labels[:, 1:]
+    grid[1::2, ::2] = labels[:-1, :] == labels[1:, :]
+    nodes, ncomp = ndi.label(grid)
+    return np.subtract(nodes[::2, ::2], 1, dtype=np.int64), ncomp
 
 
 def _border_neighbors(comp: np.ndarray, ncomp: int) -> list[dict[int, int]]:
@@ -294,6 +292,8 @@ def enforce_connectivity(
     first-appearance order). Merges accumulate, so a fragment absorbed
     early still follows its host through later merges.
 
+    Components come from one raster labelling of a grid of pixels and
+    equal-label links (see ``_components_first_appearance``).
     ``raw_labels`` must be a nonempty 2-D integer array. One ascending
     sweep over component ids merges ``r`` if it is below ``min_size`` and
     has a neighbour; ``r`` is still a root then, since only its own step

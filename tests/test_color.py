@@ -1,6 +1,7 @@
 import numpy as np
 
 from spxkit import srgb_to_lab
+from spxkit.color import _RGB_TO_XYZ, _f, _linearize
 
 
 def reference_lab(r, g, b):
@@ -86,3 +87,28 @@ def test_lightness_range():
 def test_shape_preserved():
     img = np.zeros((5, 9, 3), np.uint8)
     assert srgb_to_lab(img).shape == (5, 9, 3)
+
+
+def oracle_srgb_to_lab(image):
+    """The earlier conversion: the transfer function evaluated at every pixel."""
+    rgb = _linearize(np.asarray(image).astype(np.float64) / 255.0)
+    xyz = rgb @ _RGB_TO_XYZ.T
+    fxyz = _f(xyz / _RGB_TO_XYZ.sum(axis=1))
+    lab = np.empty_like(fxyz)
+    lab[..., 0] = 116.0 * fxyz[..., 1] - 16.0
+    lab[..., 1] = 500.0 * (fxyz[..., 0] - fxyz[..., 1])
+    lab[..., 2] = 200.0 * (fxyz[..., 1] - fxyz[..., 2])
+    return lab
+
+
+def test_every_level_matches_per_pixel_formula_exactly():
+    # Each channel runs through all 256 levels, shifted so that the three
+    # channels of a pixel differ; the 256-entry table must give the bits
+    # of the per-pixel evaluation.
+    levels = np.arange(256, dtype=np.uint8)
+    img = np.stack([levels, np.roll(levels, 85), np.roll(levels, 170)], axis=1)
+    for image in (img.reshape(16, 16, 3), img.reshape(2, 128, 3)):
+        assert np.array_equal(srgb_to_lab(image), oracle_srgb_to_lab(image))
+    rng = np.random.default_rng(11)
+    image = rng.integers(0, 256, (37, 53, 3)).astype(np.uint8)
+    assert np.array_equal(srgb_to_lab(image), oracle_srgb_to_lab(image))

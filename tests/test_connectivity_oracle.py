@@ -6,7 +6,10 @@ quadratic in fragment count but simple; the library version must return
 the same labels and block sizes, bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -192,3 +195,51 @@ def test_raw_slic_labels_of_noisy_image_match_oracle(monkeypatch):
     assert want.num_blocks <= np.unique(raw).size
     assert_matches_oracle(raw, min_size)
     assert np.array_equal(part.labels, want.labels)
+
+
+def assert_components_match_oracle(raw: np.ndarray) -> None:
+    got, ncomp = slic_module._components_first_appearance(raw)
+    want, want_n = _components_first_appearance(raw)
+    assert got.dtype == np.int64
+    assert ncomp == want_n
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=label_maps())
+def test_components_of_random_maps_match_oracle(raw):
+    assert_components_match_oracle(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    labels=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    column=st.booleans(),
+)
+def test_components_of_single_row_or_column_match_oracle(n, labels, seed, column):
+    raw = np.random.default_rng(seed).integers(0, labels, (n, 1) if column else (1, n))
+    assert_components_match_oracle(raw)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 5), (16, 16)])
+@pytest.mark.parametrize("cell", [1, 2])
+def test_components_of_checkerboards_match_oracle(shape, cell):
+    yy, xx = np.indices(shape)
+    raw = (yy // cell + xx // cell) % 2
+    assert_components_match_oracle(raw)
+
+
+@pytest.mark.parametrize("levels", [1, 4])
+def test_components_scratch_memory_is_linear(levels):
+    # 256^2: the bool grid is ~4 B/pixel, its int32 node labels ~16 B/pixel
+    # and the int64 component map 8 B/pixel, however many components.
+    raw = np.random.default_rng(5).integers(0, levels, (256, 256))
+    tracemalloc.start()
+    try:
+        slic_module._components_first_appearance(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * raw.size, f"{peak / raw.size:.1f} B/pixel"

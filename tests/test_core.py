@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spxkit import (
     MspConfig,
@@ -92,6 +94,94 @@ class TestRelabelContiguous:
         again = relabel_contiguous(part.labels)
         assert np.array_equal(again.labels, part.labels)
         assert again.num_blocks == part.num_blocks
+
+
+def oracle_relabel_contiguous(raw: np.ndarray) -> np.ndarray:
+    """The earlier relabel: ``np.unique`` with index and inverse, ranked by argsort."""
+    arr = np.asarray(raw)
+    uniq, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(uniq.size, dtype=np.int32)
+    rank[order] = np.arange(uniq.size, dtype=np.int32)
+    return rank[inverse].reshape(arr.shape)
+
+
+_LABEL_DTYPES = [np.int8, np.uint8, np.int32, np.uint32, np.int64, np.uint64]
+
+
+@st.composite
+def relabel_inputs(draw):
+    """Label maps of every integer width, in range [0, H*W) or not.
+
+    Out-of-range maps mix negative values, values at or past H*W and the
+    dtype's extremes; 1 x N and N x 1 shapes are drawn as often as any.
+    """
+    info = np.iinfo(draw(st.sampled_from(_LABEL_DTYPES)))
+    h, w = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 24), st.integers(1, 24)),
+            st.tuples(st.just(1), st.integers(1, 64)),
+            st.tuples(st.integers(1, 64), st.just(1)),
+        )
+    )
+    n = h * w
+    in_range = st.integers(0, min(n - 1, int(info.max)))
+    if draw(st.booleans()):
+        value = in_range
+    else:
+        value = st.one_of(
+            in_range,
+            st.integers(n, int(info.max)) if n <= info.max else st.nothing(),
+            st.integers(int(info.min), -1) if info.min < 0 else st.nothing(),
+            st.sampled_from([int(info.min), int(info.max)]),
+        )
+    pool = draw(st.lists(value, min_size=1, max_size=10, unique=True))
+    idx = draw(hnp.arrays(np.int64, (h, w), elements=st.integers(0, len(pool) - 1)))
+    return np.asarray(pool, dtype=info.dtype)[idx]
+
+
+class TestRelabelMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(raw=relabel_inputs())
+    def test_random_maps_match_oracle(self, raw):
+        got = relabel_contiguous(raw)
+        assert got.labels.dtype == np.int32
+        assert np.array_equal(got.labels, oracle_relabel_contiguous(raw))
+
+    @pytest.mark.parametrize("dtype", _LABEL_DTYPES)
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (3, 4)])
+    def test_dtype_extremes_match_oracle(self, dtype, shape):
+        info = np.iinfo(dtype)
+        values = np.array([info.max, info.min, 0, info.max, 1, info.min, 2], dtype)
+        raw = np.resize(values, shape)
+        assert np.array_equal(
+            relabel_contiguous(raw).labels, oracle_relabel_contiguous(raw)
+        )
+
+    def test_in_range_map_is_not_sorted(self, monkeypatch):
+        raw = np.random.default_rng(3).integers(0, 40, (32, 32))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an in-range map was sorted")
+
+        for name in ("unique", "argsort", "sort", "lexsort"):
+            monkeypatch.setattr(np, name, refuse)
+        got = relabel_contiguous(raw).labels
+        monkeypatch.undo()
+        assert np.array_equal(got, oracle_relabel_contiguous(raw))
+
+    def test_in_range_map_scratch_memory(self):
+        # A 256^2 map of 400 labels, as SLIC hands it over: the pixel
+        # positions fed to np.minimum.at (8 B/pixel) and the first-pixel
+        # mask (1 B/pixel) dominate; nothing the size of a sort is built.
+        raw = np.random.default_rng(4).integers(0, 400, (256, 256)).astype(np.int32)
+        tracemalloc.start()
+        try:
+            relabel_contiguous(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * raw.size, f"{peak / raw.size:.1f} B/pixel"
 
 
 class TestMspConfig:

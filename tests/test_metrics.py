@@ -268,3 +268,33 @@ class TestEvaluateSegmentation:
         assert report.miou == 1.0
         assert report.pixel_accuracy == 1.0
         assert report.boundary_fscore == 1.0
+
+
+class TestToleranceMustBeIntegral:
+    """A fractional tolerance has an off-centre window and NaN none at all."""
+
+    GT = (np.arange(8)[None, :] >= 4) * np.ones((8, 1), dtype=np.int64)
+
+    def scores(self, tol):
+        gt = self.GT
+        shifted = np.roll(gt, 1, axis=1)
+        return (
+            spx_boundary_recall(relabel_contiguous(shifted), gt, tol),
+            boundary_fscore(shifted, gt, tol),
+            evaluate_segmentation(shifted, gt, 2, boundary_tolerance_px=tol).to_dict(),
+        )
+
+    @pytest.mark.parametrize("tol", [1.5, 2.0, float("nan"), float("inf"), "2", None])
+    def test_non_integral_tolerance_rejected(self, tol):
+        gt = self.GT
+        part = relabel_contiguous(gt)
+        with pytest.raises(ValueError, match="tolerance_px"):
+            spx_boundary_recall(part, gt, tol)
+        with pytest.raises(ValueError, match="tolerance_px"):
+            boundary_fscore(gt, gt, tol)
+        with pytest.raises(ValueError, match="tolerance_px"):
+            evaluate_segmentation(gt, gt, 2, boundary_tolerance_px=tol)
+
+    @pytest.mark.parametrize("tol", [np.int64(1), np.uint8(1), np.int32(0), True])
+    def test_numpy_and_python_integers_score_alike(self, tol):
+        assert self.scores(tol) == self.scores(int(tol))

@@ -211,3 +211,17 @@ def test_match_scale_sweeps_sigma_down():
     part = quickshift_match_scale(lab, QuickShiftParams(sigma=8.0), 32)
     assert validate_partition(part).ok
     assert part.num_blocks >= 16  # reached half the target
+
+
+@pytest.mark.parametrize("target", [math.nan, 2.5, 16.0, 0, -3, "16"])
+def test_match_scale_target_must_be_an_integer_of_at_least_one(target):
+    lab = random_lab(21, 12, 12)
+    with pytest.raises(ValueError, match="target_blocks"):
+        quickshift_match_scale(lab, QuickShiftParams(sigma=8.0), target)
+
+
+def test_match_scale_accepts_numpy_integers():
+    lab = random_lab(21, 24, 24)
+    params = QuickShiftParams(sigma=8.0)
+    got = quickshift_match_scale(lab, params, np.int64(32))
+    assert np.array_equal(got.labels, quickshift_match_scale(lab, params, 32).labels)

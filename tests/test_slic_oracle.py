@@ -311,6 +311,24 @@ def test_initial_centers_match_oracle(h, w, seed, quantized, data):
 
 @settings(max_examples=200, deadline=None)
 @given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    quantized=st.booleans(),
+    tall=st.booleans(),
+    data=st.data(),
+)
+def test_initial_centers_match_oracle_on_two_pixel_strips(n, seed, quantized, tall, data):
+    # Every seed's 3x3 neighborhood touches a border: off-image neighbors
+    # and edge-replicated differences decide every nudge.
+    h, w = (n, 2) if tall else (2, n)
+    lab = random_lab(np.random.default_rng(seed), h, w, quantized)
+    k = data.draw(st.integers(1, h * w))
+    got = slic_module._initial_centers(lab, k)
+    assert np.array_equal(got, oracle_initial_centers(lab, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
     h=st.integers(1, 24),
     w=st.integers(1, 24),
     labels=st.integers(1, 6),
