@@ -39,7 +39,12 @@ _LINEAR = _linearize(np.arange(256) / 255.0)  # linear value of each 8-bit level
 
 
 def _f(t: np.ndarray) -> np.ndarray:
-    return np.where(t > _EPS, np.cbrt(t), t / (3.0 * _DELTA**2) + 4.0 / 29.0)
+    # The cube root everywhere, then the linear segment where it applies,
+    # so the linear formula is evaluated only at the dark values.
+    out = np.cbrt(t)
+    dark = t <= _EPS
+    out[dark] = t[dark] / (3.0 * _DELTA**2) + 4.0 / 29.0
+    return out
 
 
 def srgb_to_lab(image: np.ndarray) -> np.ndarray:

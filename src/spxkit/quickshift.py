@@ -8,13 +8,21 @@ own root and links to its nearest neighbor of strictly higher density,
 provided the 5-D distance is at most tau; on equal density, the neighbor
 at offset (dy, dx) ranks higher when its row-major index step dy*W + dx
 is negative. The links form a forest and each tree is one superpixel.
+
+The distance to a window offset does not depend on sigma, so several
+sigmas share one walk over the widest window: each offset's distance is
+computed once and weighted by every sigma whose window holds it
+(``_segment_sigmas``). ``quickshift_segment`` is the walk at one sigma;
+``quickshift_match_scale`` tries its first sigma alone and, on a miss,
+segments the rest of its ladder in one walk.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -34,14 +42,7 @@ class QuickShiftParams:
     color_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        # Comparisons that fail on NaN, so NaN is rejected too. The
-        # density weights use 1 / (2 sigma^2), so both terms must be finite.
-        two_sigma2 = 2.0 * self.sigma * self.sigma
-        if not (self.sigma > 0 and 0 < two_sigma2 < math.inf
-                and 1.0 / two_sigma2 < math.inf):
-            raise ValueError(
-                f"sigma must be > 0 with 1 / (2 sigma^2) finite, got {self.sigma}"
-            )
+        _check_sigma(self.sigma)
         if not self.tau >= 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if not 0.0 <= self.color_ratio <= 1.0:
@@ -56,23 +57,16 @@ class QuickShiftParams:
             )
 
 
-def _sq_dist(color: np.ndarray, a, b, dy: int, dx: int) -> np.ndarray:
-    """Squared 5-D feature distance from each pixel in ``a`` to its
-    (dy, dx) neighbour in ``b``.
+def _sigma_usable(sigma: float) -> bool:
+    # Comparisons that fail on NaN, so NaN is refused too. The density
+    # weights use 1 / (2 sigma^2), so both terms must be finite.
+    two_sigma2 = 2.0 * sigma * sigma
+    return sigma > 0 and 0 < two_sigma2 < math.inf and 1.0 / two_sigma2 < math.inf
 
-    ``color`` holds the three scaled Lab planes, shape (3, H, W). The
-    x/y differences are exactly dx and dy, so their squares are added
-    as scalars. Terms are summed in the order L, a, b, x, y: the order
-    in which ``ndarray.sum(axis=2)`` reduces a stacked (H, W, 5)
-    feature array, so the sums are the same floats.
-    """
-    diff = color[(slice(None), *b)] - color[(slice(None), *a)]
-    diff *= diff
-    d2 = diff[0] + diff[1]
-    d2 += diff[2]
-    d2 += dx * dx
-    d2 += dy * dy
-    return d2
+
+def _check_sigma(sigma: float) -> None:
+    if not _sigma_usable(sigma):
+        raise ValueError(f"sigma must be > 0 with 1 / (2 sigma^2) finite, got {sigma}")
 
 
 def _offset_slices(h: int, w: int, dy: int, dx: int):
@@ -82,6 +76,127 @@ def _offset_slices(h: int, w: int, dy: int, dx: int):
     a = (slice(ay0, ay1), slice(ax0, ax1))
     b = (slice(ay0 + dy, ay1 + dy), slice(ax0 + dx, ax1 + dx))
     return a, b
+
+
+def _runs(w: int, a, dy: int, dx: int) -> tuple[slice, slice]:
+    """The whole rows of ``a``, and the (dy, dx) neighbours of their
+    pixels, as two runs of the padded layout (see ``_segment_sigmas``)."""
+    start, stop = (a[0].start + 1) * w, (a[0].stop + 1) * w
+    step = dy * w + dx
+    return slice(start, stop), slice(start + step, stop + step)
+
+
+def _sq_dist(
+    planes: np.ndarray, w: int, a, dy: int, dx: int, scratch: np.ndarray
+) -> np.ndarray:
+    """Squared 5-D feature distance from each pixel in the whole rows
+    of ``a`` to its (dy, dx) neighbour, +inf in the columns outside
+    ``a``, in the first row of ``scratch``.
+
+    ``planes`` holds the three scaled Lab planes in the padded layout,
+    shape (3, (H + 2) * W); ``scratch`` has shape (3, H*W), and its
+    other two rows are free once this returns. The x/y differences are
+    exactly dx and dy, so their squares are added as scalars. Terms are
+    summed in the order L, a, b, x, y: the order in which
+    ``ndarray.sum(axis=2)`` reduces a stacked (H, W, 5) feature array,
+    so the sums are the same floats.
+    """
+    run, nbr = _runs(w, a, dy, dx)
+    n = run.stop - run.start
+    diff = scratch[:3, :n]
+    np.subtract(planes[:, nbr], planes[:, run], out=diff)
+    diff *= diff
+    d2 = np.add(diff[0], diff[1], out=diff[0])
+    d2 += diff[2]
+    d2 += dx * dx
+    d2 += dy * dy
+    by_row = d2.reshape(-1, w)
+    by_row[:, :a[1].start] = np.inf  # these columns wrapped to another row
+    by_row[:, a[1].stop:] = np.inf
+    return d2
+
+
+def _segment_sigmas(
+    lab: np.ndarray, params: QuickShiftParams, sigmas: list[float]
+) -> list[SuperpixelPartition]:
+    """Quick Shift at each of ``sigmas`` (usable bandwidths, see
+    ``_check_sigma``) with the tau and colour ratio of ``params``.
+
+    One walk over the widest window computes each offset's distance
+    once for every sigma, and one walk over the link offsets computes
+    it once more. Each sigma accumulates density and links over the
+    offsets its own window holds, in that window's row-major order, so
+    every partition equals the one a walk at that sigma alone gives.
+    Each extra sigma costs three H*W arrays: density, link distance and
+    parent.
+
+    Per-pixel arrays use a padded layout: flat, row-major, with one row
+    before the image and one after. The whole rows an offset's pixels
+    span, and their neighbours, are then two runs (``_runs``), so every
+    step works on one contiguous run. The columns a shift wraps into
+    another row get d2 = +inf: they add exp(-inf) = 0 to a density,
+    which leaves it unchanged, and never link.
+    """
+    lab = check_lab_image(lab)
+    h, w = lab.shape[:2]
+    size = (h + 2) * w
+
+    planes = np.zeros((3, size))
+    planes[:, w:-w] = np.moveaxis(lab * params.color_ratio, 2, 0).reshape(3, -1)
+    scratch = np.empty((3, h * w))  # see _sq_dist
+    # Farther offsets leave the image; both passes walk the ones that overlap it.
+    radii = [min(int(math.ceil(3.0 * s)), max(h, w) - 1) for s in sigmas]
+    radius = max(radii)
+    window = []  # (dy, dx, a, its runs, indices of the sigmas whose window holds it)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            a, _ = _offset_slices(h, w, dy, dx)
+            if a[0].start < a[0].stop and a[1].start < a[1].stop:
+                reach = max(abs(dy), abs(dx))
+                held = [k for k, r in enumerate(radii) if reach <= r]
+                window.append((dy, dx, a, *_runs(w, a, dy, dx), held))
+
+    neg_inv_two_sigma2 = [-(1.0 / (2.0 * s**2)) for s in sigmas]
+    density = [np.zeros(size) for _ in sigmas]
+    for dy, dx, a, run, _, held in window:
+        d2 = _sq_dist(planes, w, a, dy, dx, scratch)
+        term = scratch[1, :d2.size]
+        for k in held:
+            np.multiply(d2, neg_inv_two_sigma2[k], out=term)
+            density[k][run] += np.exp(term, out=term)
+
+    idx = np.arange(-w, size - w, dtype=np.int64)  # the pixel index at each position
+    parent = [idx.copy() for _ in sigmas]
+    best_d2 = [np.full(size, np.inf) for _ in sigmas]
+    tau2 = params.tau**2
+    for dy, dx, a, run, nbr, held in window:
+        # d2 adds dx*dx and dy*dy (exact integers) to the nonnegative
+        # colour terms, and rounding is monotone, so here
+        # d2 >= dx*dx + dy*dy > tau2 and ``take`` would be all False.
+        if (dy == 0 and dx == 0) or dy * dy + dx * dx > tau2:
+            continue
+        d2 = _sq_dist(planes, w, a, dy, dx, scratch)
+        near = d2 <= tau2
+        # |dx| < w on an overlapping offset, so dy*w + dx is the index step.
+        ties_up = dy * w + dx < 0
+        for k in held:
+            dens, best = density[k], best_d2[k][run]
+            if ties_up:
+                higher = dens[nbr] >= dens[run]
+            else:
+                higher = dens[nbr] > dens[run]
+            take = higher & near & (d2 < best)
+            np.copyto(best, d2, where=take)
+            np.copyto(parent[k][run], idx[nbr], where=take)
+
+    del planes, scratch, density, best_d2  # only the links are read from here on
+    parts = []
+    for links in parent:
+        roots = links[w:-w]
+        while not np.array_equal(roots[roots], roots):
+            roots = roots[roots]
+        parts.append(relabel_contiguous(roots.reshape(h, w)))
+    return parts
 
 
 def quickshift_segment(
@@ -97,50 +212,8 @@ def quickshift_segment(
     search skips window offsets whose spatial distance alone exceeds
     tau; no such offset can supply a link, so the labels are unchanged.
     """
-    lab = check_lab_image(lab)
-    h, w = lab.shape[:2]
-
-    color = np.moveaxis(lab * params.color_ratio, 2, 0).copy()
-    # Farther offsets leave the image; both passes walk the ones that overlap it.
-    radius = min(int(math.ceil(3.0 * params.sigma)), max(h, w) - 1)
-    window = []
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            a, b = _offset_slices(h, w, dy, dx)
-            if a[0].start < a[0].stop and a[1].start < a[1].stop:
-                window.append((dy, dx, a, b))
-
-    inv_two_sigma2 = 1.0 / (2.0 * params.sigma**2)
-    density = np.zeros((h, w))
-    for dy, dx, a, b in window:
-        d2 = _sq_dist(color, a, b, dy, dx)
-        d2 *= -inv_two_sigma2
-        density[a] += np.exp(d2)
-
-    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    parent = idx.copy()
-    best_d2 = np.full((h, w), np.inf)
-    tau2 = params.tau**2
-    for dy, dx, a, b in window:
-        # d2 adds dx*dx and dy*dy (exact integers) to the nonnegative
-        # colour terms, and rounding is monotone, so here
-        # d2 >= dx*dx + dy*dy > tau2 and ``take`` would be all False.
-        if (dy == 0 and dx == 0) or dy * dy + dx * dx > tau2:
-            continue
-        d2 = _sq_dist(color, a, b, dy, dx)
-        # |dx| < w on an overlapping offset, so dy*w + dx is the index step.
-        if dy * w + dx < 0:
-            higher = density[b] >= density[a]
-        else:
-            higher = density[b] > density[a]
-        take = higher & (d2 <= tau2) & (d2 < best_d2[a])
-        best_d2[a][take] = d2[take]
-        parent[a][take] = idx[b][take]
-
-    roots = parent.ravel()
-    while not np.array_equal(roots[roots], roots):
-        roots = roots[roots]
-    return relabel_contiguous(roots.reshape(h, w))
+    (part,) = _segment_sigmas(lab, params, [params.sigma])
+    return part
 
 
 def quickshift_match_scale(
@@ -158,7 +231,12 @@ def quickshift_match_scale(
     geometrically (factor 0.8, at most 8 attempts) and the last result
     is returned as-is even when the target is missed; a miss emits a
     ``UserWarning`` naming the target, the blocks delivered and the
-    final sigma.
+    final sigma. A sigma of the ladder that is too small for the
+    density kernel raises ``ValueError`` when the sweep reaches it.
+
+    The sweep segments in at most two walks: ``params.sigma`` alone,
+    then, if that misses, every later sigma of the ladder at once (see
+    ``_segment_sigmas``), up to the first one that is too small.
 
     ``memo`` maps sigma to the partition of ``lab`` under ``params``
     with that sigma. The sweep reads a sigma from it before segmenting
@@ -171,14 +249,19 @@ def quickshift_match_scale(
         raise ValueError(f"target_blocks must be an integer >= 1, got {target_blocks}")
     if memo is None:
         memo = {}
-    sigma = params.sigma
-    for attempt in range(8):
-        if attempt:
-            sigma *= 0.8
-        part = memo.get(sigma)
-        if part is None:
-            part = quickshift_segment(lab, replace(params, sigma=sigma))
-            memo[sigma] = part
+    ladder = [params.sigma]
+    for _ in range(7):
+        ladder.append(ladder[-1] * 0.8)
+    for attempt, sigma in enumerate(ladder):
+        if sigma not in memo:
+            _check_sigma(sigma)
+            if attempt == 0:
+                memo[sigma] = quickshift_segment(lab, params)
+            else:  # the rest of the ladder in one walk, up to an unusable sigma
+                rest = [s for s in itertools.takewhile(_sigma_usable, ladder[attempt:])
+                        if s not in memo]
+                memo.update(zip(rest, _segment_sigmas(lab, params, rest)))
+        part = memo[sigma]
         if part.num_blocks >= target_blocks / 2:
             return part
     warnings.warn(

@@ -75,6 +75,43 @@ class TestSuperpixel:
         assert code == 0
         assert json.loads(out) == {"num_blocks": 64}
 
+    def test_sweep_refuses_a_sigma_too_small_for_the_kernel(
+        self, capsys, tmp_path, uniform_ppm
+    ):
+        # A uniform image gives 1 block at every sigma, so the sweep goes
+        # on until sigma = 1e-154 * 0.8^3, where 1 / (2 sigma^2)
+        # overflows. On the way, d2 / (2 sigma^2) overflows to -inf at
+        # the diagonal offsets; exp(-inf) = 0 is the weight wanted, so
+        # that overflow is let pass here.
+        out_path = tmp_path / "x.mspt"
+        argv = ["superpixel", "--algo", "quickshift", "--sigma", "1e-154",
+                "--tau", "3", uniform_ppm, "-o", str(out_path)]
+        with np.errstate(over="ignore"):
+            code, _, err = run(capsys, [*argv, "--lambda", "400"])
+        assert code == 1
+        assert "got 5.1200000000000005e-155" in err
+        assert not out_path.exists()
+        # When the first sigma meets the target, the ladder is not tried.
+        code, out, _ = run(capsys, [*argv, "--lambda", "2"])
+        assert code == 0
+        assert json.loads(out) == {"num_blocks": 1}
+
+    def test_tau_warning_is_given_once(self, capsys, tmp_path, uniform_ppm):
+        # tau 3 is below the sigmas 5, 4 and 3.2 that the sweep tries;
+        # the warning is about the user's own sigma, and it comes once.
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code, _, _ = run(
+                capsys,
+                ["superpixel", "--algo", "quickshift", "--sigma", "5", "--tau", "3",
+                 "--lambda", "400", uniform_ppm, "-o", str(tmp_path / "x.mspt")],
+            )
+        assert code == 0
+        tau_warnings = [str(w.message) for w in record if "tau (" in str(w.message)]
+        assert len(tau_warnings) == 1
+        assert tau_warnings[0].startswith("tau (3.0) <= sigma (5.0)")
+        assert any("missed" in str(w.message) for w in record)
+
     def test_vis_overlay_written(self, capsys, tmp_path, uniform_ppm):
         out_path = tmp_path / "labels.mspt"
         vis_path = tmp_path / "vis.ppm"

@@ -1,7 +1,7 @@
 import numpy as np
 
 from spxkit import srgb_to_lab
-from spxkit.color import _RGB_TO_XYZ, _f, _linearize
+from spxkit.color import _DELTA, _EPS, _RGB_TO_XYZ, _f, _linearize
 
 
 def reference_lab(r, g, b):
@@ -112,3 +112,22 @@ def test_every_level_matches_per_pixel_formula_exactly():
     rng = np.random.default_rng(11)
     image = rng.integers(0, 256, (37, 53, 3)).astype(np.uint8)
     assert np.array_equal(srgb_to_lab(image), oracle_srgb_to_lab(image))
+
+
+def oracle_f(t):
+    """The earlier ``_f``: both branches evaluated at every value."""
+    return np.where(t > _EPS, np.cbrt(t), t / (3.0 * _DELTA**2) + 4.0 / 29.0)
+
+
+def test_f_matches_both_branch_form_at_and_around_the_break():
+    near = [_EPS]
+    for _ in range(4):  # a few floats either side of the break
+        near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], 1.0)]
+    rng = np.random.default_rng(12)
+    t = np.concatenate([
+        near, [0.0, _EPS / 2, 2 * _EPS, 1.0, 1.1],
+        rng.uniform(0.0, 2 * _EPS, 200), rng.uniform(0.0, 1.1, 200),
+    ])
+    assert (t == _EPS).sum() == 1 and (t < _EPS).any() and (t > _EPS).any()
+    for arr in (t, t.reshape(-1, 3)[None]):
+        assert np.array_equal(_f(arr), oracle_f(arr))

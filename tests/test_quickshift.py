@@ -225,3 +225,16 @@ def test_match_scale_accepts_numpy_integers():
     params = QuickShiftParams(sigma=8.0)
     got = quickshift_match_scale(lab, params, np.int64(32))
     assert np.array_equal(got.labels, quickshift_match_scale(lab, params, 32).labels)
+
+
+def test_match_scale_refuses_a_ladder_sigma_only_when_it_reaches_it():
+    lab = srgb_to_lab(np.full((8, 8, 3), 90, np.uint8))  # 1 block at any sigma
+    params = QuickShiftParams(sigma=1e-154, tau=3.0)
+    memo = {}
+    # 1 / (2 sigma^2) overflows from sigma = 1e-154 * 0.8^3 on; the
+    # overflow of d2 / (2 sigma^2) to -inf before it is harmless.
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="5.1200000000000005e-155"):
+            quickshift_match_scale(lab, params, 400, memo=memo)
+    assert list(memo) == [1e-154, 1e-154 * 0.8, 1e-154 * 0.8 * 0.8]
+    assert quickshift_match_scale(lab, params, 2).num_blocks == 1  # met at once

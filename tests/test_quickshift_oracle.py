@@ -4,13 +4,14 @@ The oracle below is the original ``quickshift_segment``, which scans every
 window offset for links and breaks density ties by comparing row-major
 indices, and the original ``quickshift_match_scale``, which restarts its
 sigma sweep on every call. The library versions skip offsets beyond tau,
-break density ties by the sign of the offset's index step, and share one
-sweep across the scales of a cascade; labels and cascade outputs must
-stay the same, bit for bit.
+break density ties by the sign of the offset's index step, segment
+several sigmas in one window walk, and share one sweep across the scales
+of a cascade; labels and cascade outputs must stay the same, bit for bit.
 """
 
 import importlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -239,35 +240,96 @@ def test_cascade_matches_seed_style_loop():
         assert np.array_equal(g.block_sizes, w.block_sizes)
 
 
-def test_cascade_segments_each_sigma_once(monkeypatch):
+def walk_offsets(radius: int, tau: float) -> list[tuple[int, int]]:
+    """The offsets one walk measures, in order: every window offset for
+    density, then the link offsets (0 < dy^2 + dx^2 <= tau^2)."""
+    window = [(dy, dx) for dy in range(-radius, radius + 1)
+              for dx in range(-radius, radius + 1)]
+    links = [(dy, dx) for dy, dx in window if 0 < dy * dy + dx * dx <= tau**2]
+    return window + links
+
+
+def test_cascade_walks_the_window_twice(monkeypatch):
     image = two_by_two_scene()
     features = np.zeros((2, 12, 12), dtype=np.float32)
-    lab = srgb_to_lab(image)
-    swept = []  # sigmas the seed-style sweeps segment, repeats included
-    for scale in SCALES:
-        sigma = 5.0
-        for _ in range(8):
-            swept.append(sigma)
-            part = oracle_quickshift_segment(lab, QuickShiftParams(sigma=sigma))
-            if part.num_blocks >= scale / 2:
-                break
-            sigma *= 0.8
-    assert len(swept) == 1 + 8 + 8 and len(set(swept)) == 8
+    measured = []  # the (dy, dx) of every distance computed
+    sq_dist = qs_module._sq_dist
 
-    calls = []
+    def counting(planes, w, a, dy, dx, scratch):
+        measured.append((dy, dx))
+        return sq_dist(planes, w, a, dy, dx, scratch)
 
-    def counting(lab, params):
-        calls.append(params.sigma)
-        return quickshift_segment(lab, params)
-
-    monkeypatch.setattr(qs_module, "quickshift_segment", counting)
+    monkeypatch.setattr(qs_module, "_sq_dist", counting)
     config = MspConfig(scales=SCALES, segmenter=QuickShiftParams())
+    # Scale 6 is met at sigma 5 (window radius 15); scale 16 misses it,
+    # and one walk at sigma 4 (radius 12, the widest of the rest of the
+    # ladder) serves sigmas 4 down to 5 * 0.8^7 for scales 16 and 60.
+    want = walk_offsets(15, 10.0) + walk_offsets(12, 10.0)
     with pytest.warns(UserWarning, match="missed"):
         cascade_forward(features, image, config)
-    assert sorted(calls) == sorted(set(swept))
+    assert measured == want
     with pytest.warns(UserWarning, match="missed"):
         cascade_forward(features, image, config)
-    assert len(calls) == 16  # nothing is kept from one call to the next
+    assert measured == want + want  # nothing is kept from one call to the next
+
+
+def test_ladder_walk_scratch_memory():
+    # The seven sigmas after 5 at 192^2: each one holds a density, a
+    # link distance and a parent (24 B/pixel); the colour planes, the
+    # index map and one offset's temporaries come on top.
+    rng = np.random.default_rng(8)
+    lab = srgb_to_lab(rng.integers(0, 256, (192, 192, 3)).astype(np.uint8))
+    params = QuickShiftParams()
+    sigmas = [5.0 * 0.8**k for k in range(1, 8)]
+    tracemalloc.start()
+    try:
+        parts = qs_module._segment_sigmas(lab, params, sigmas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parts) == 7
+    assert peak <= 320 * 192 * 192, f"{peak / 192**2:.1f} B/pixel"
+
+
+@st.composite
+def sigma_ladders(draw):
+    """1 to 8 sigmas in descending order. Steps of 1.0 repeat a sigma,
+    steps near 1 repeat a window radius, and a first sigma up to 8
+    (radius 24) reaches past every test image's cap of 19."""
+    sigmas = [draw(st.floats(0.3, 8.0))]
+    steps = draw(st.lists(
+        st.sampled_from([1.0, 0.95, 0.8]) | st.floats(0.5, 1.0), max_size=7))
+    for step in steps:
+        sigmas.append(sigmas[-1] * step)
+    return sigmas
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lab=lab_images(),
+    sigmas=sigma_ladders(),
+    color_ratio=st.floats(0.0, 1.0),
+    tau_frac=st.floats(0.01, 0.99),
+    tau_mode=st.sampled_from(["pruned", "integer", "unpruned"]),
+)
+def test_sigma_walk_matches_oracle_at_each_sigma(
+    lab, sigmas, color_ratio, tau_frac, tau_mode
+):
+    radius = int(math.ceil(3.0 * sigmas[0]))  # the widest window
+    if tau_mode == "pruned":
+        tau = tau_frac * radius
+    elif tau_mode == "integer":
+        tau = float(max(1, round(tau_frac * radius)))
+    else:
+        tau = radius * math.sqrt(2.0) + 10.0 * tau_frac
+    params = quiet_params(sigma=sigmas[0], tau=tau, color_ratio=color_ratio)
+    parts = qs_module._segment_sigmas(lab, params, sigmas)
+    assert len(parts) == len(sigmas)
+    for sigma, got in zip(sigmas, parts):
+        want = oracle_quickshift_segment(lab, quiet_params(
+            sigma=sigma, tau=tau, color_ratio=color_ratio))
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.block_sizes, want.block_sizes)
 
 
 def test_match_scale_memo_is_read_and_filled():
