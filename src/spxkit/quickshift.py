@@ -53,7 +53,7 @@ class QuickShiftParams:
             warnings.warn(
                 f"tau ({self.tau}) <= sigma ({self.sigma}); tau > sigma is "
                 "recommended so links can span at least one bandwidth",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 
@@ -158,12 +158,15 @@ def _segment_sigmas(
 
     neg_inv_two_sigma2 = [-(1.0 / (2.0 * s**2)) for s in sigmas]
     density = [np.zeros(size) for _ in sigmas]
-    for dy, dx, a, run, _, held in window:
-        d2 = _sq_dist(planes, w, a, dy, dx, scratch)
-        term = scratch[1, :d2.size]
-        for k in held:
-            np.multiply(d2, neg_inv_two_sigma2[k], out=term)
-            density[k][run] += np.exp(term, out=term)
+    # A tiny sigma can overflow d2 * (-1 / (2 sigma^2)) to -inf, and
+    # exp(-inf) = 0 is the weight wanted for so distant a neighbour.
+    with np.errstate(over="ignore"):
+        for dy, dx, a, run, _, held in window:
+            d2 = _sq_dist(planes, w, a, dy, dx, scratch)
+            term = scratch[1, :d2.size]
+            for k in held:
+                np.multiply(d2, neg_inv_two_sigma2[k], out=term)
+                density[k][run] += np.exp(term, out=term)
 
     idx = np.arange(-w, size - w, dtype=np.int64)  # the pixel index at each position
     parent = [idx.copy() for _ in sigmas]

@@ -52,9 +52,12 @@ class SlicParams:
             raise ValueError(
                 f"num_superpixels must be an integer >= 1, got {self.num_superpixels}"
             )
-        if not 0 < self.compactness < np.inf:  # also rejects NaN
+        # slic_segment squares it, so the square must be finite too;
+        # comparisons that fail on NaN refuse NaN.
+        c = self.compactness
+        if not (0 < c < np.inf and float(c) * float(c) < np.inf):
             raise ValueError(
-                f"compactness must be finite and > 0, got {self.compactness}"
+                f"compactness must be > 0 with a finite square, got {c}"
             )
 
 
@@ -116,11 +119,20 @@ def _assign(
     update gives. Pixels missed by every window are assigned by a full
     search over all centers.
 
-    Clusters go in ascending chunks. Within a chunk every window is one
-    fixed-size strided view of the Lab planes, anchored inside the image
-    and masked to the cluster's own window, so the sweep runs no Python
-    loop per cluster; a chunk holds about H*W/4 window pixels, which
-    bounds the scratch memory by O(H*W).
+    Within a chunk of clusters every window is one fixed-size strided
+    view of the Lab planes, anchored inside the image and masked to the
+    cluster's own window, so the sweep runs no Python loop per cluster;
+    a chunk holds about H*W/2 window pixels, which bounds the scratch
+    memory by O(H*W).
+
+    Chunks go in descending cluster order. After a chunk's ``fmin`` a
+    window entry whose distance equals its pixel's best has improved or
+    tied that best, and its cluster index is below every label already
+    written there, since those came from the higher-index chunks walked
+    before it. One ``minimum`` over those entries therefore keeps the
+    smallest distance with ties to the lowest index: a label left by a
+    distance that has since been beaten is always replaced, so no label
+    is reset between chunks.
     """
     h, w = lab.shape[:2]
     k = len(centers)
@@ -144,31 +156,37 @@ def _assign(
     ry = np.arange(win_h)
     rx = np.arange(win_w)
 
-    chunk = max(1, (h * w // 4) // (win_h * win_w))
-    for lo in range(0, k, chunk):
-        sl = slice(lo, min(k, lo + chunk))
-        rows = oy[sl, None] + ry  # (n, win_h)
-        cols = ox[sl, None] + rx  # (n, win_w)
-        # Summed as ((dL^2 + da^2) + db^2), the order of .sum(axis=2).
-        d2 = (windows[0][oy[sl], ox[sl]] - centers[sl, 0, None, None]) ** 2
-        d2 += (windows[1][oy[sl], ox[sl]] - centers[sl, 1, None, None]) ** 2
-        d2 += (windows[2][oy[sl], ox[sl]] - centers[sl, 2, None, None]) ** 2
-        # An infinite offset outside the cluster's own window makes d2
-        # inf (or NaN if ratio underflowed to 0); neither can win below.
-        yy = rows - cy[sl, None]
-        yy[(rows < y0[sl, None]) | (rows >= y1[sl, None])] = np.inf
-        xx = cols - cx[sl, None]
-        xx[(cols < x0[sl, None]) | (cols >= x1[sl, None])] = np.inf
-        d2 += ratio * (yy[:, :, None] ** 2 + xx[:, None, :] ** 2)
+    chunk = max(1, (h * w // 2) // (win_h * win_w))
+    # An infinite offset outside a cluster's own window makes d2 inf, or
+    # NaN (0 * inf) if ratio underflowed to 0; neither equals a best.
+    with np.errstate(invalid="ignore"):
+        for lo in reversed(range(0, k, chunk)):
+            sl = slice(lo, min(k, lo + chunk))
+            rows = oy[sl, None] + ry  # (n, win_h)
+            cols = ox[sl, None] + rx  # (n, win_w)
+            # Summed as ((dL^2 + da^2) + db^2), the order of .sum(axis=2),
+            # on the gathered window copies.
+            d2 = windows[0][oy[sl], ox[sl]]
+            d2 -= centers[sl, 0, None, None]
+            d2 *= d2
+            for c in (1, 2):
+                t = windows[c][oy[sl], ox[sl]]
+                t -= centers[sl, c, None, None]
+                t *= t
+                d2 += t
+            yy = rows - cy[sl, None]
+            yy[(rows < y0[sl, None]) | (rows >= y1[sl, None])] = np.inf
+            xx = cols - cx[sl, None]
+            xx[(cols < x0[sl, None]) | (cols >= x1[sl, None])] = np.inf
+            np.add(yy[:, :, None] ** 2, xx[:, None, :] ** 2, out=t)  # t is free again
+            t *= ratio
+            d2 += t
 
-        pix = (rows[:, :, None] * w + cols[:, None, :]).ravel()
-        d2 = d2.ravel()
-        before = best[pix]
-        np.fmin.at(best, pix, d2)
-        after = best[pix]
-        labels[pix[after < before]] = k
-        hit = np.flatnonzero(d2 == after)
-        np.minimum.at(labels, pix[hit], lo + hit // (win_h * win_w))
+            pix = (rows[:, :, None] * w + cols[:, None, :]).ravel()
+            d2 = d2.ravel()
+            np.fmin.at(best, pix, d2)
+            hit = np.flatnonzero(d2 == best[pix])
+            np.minimum.at(labels, pix[hit], lo + hit // (win_h * win_w))
 
     labels = labels.reshape(h, w).astype(np.int32)
     missed = (best == np.inf).reshape(h, w)  # no window offered d2 < inf

@@ -81,13 +81,12 @@ class TestSuperpixel:
         # A uniform image gives 1 block at every sigma, so the sweep goes
         # on until sigma = 1e-154 * 0.8^3, where 1 / (2 sigma^2)
         # overflows. On the way, d2 / (2 sigma^2) overflows to -inf at
-        # the diagonal offsets; exp(-inf) = 0 is the weight wanted, so
-        # that overflow is let pass here.
+        # the diagonal offsets; exp(-inf) = 0 is the weight wanted, and
+        # the segmenter lets that overflow pass without a warning.
         out_path = tmp_path / "x.mspt"
         argv = ["superpixel", "--algo", "quickshift", "--sigma", "1e-154",
                 "--tau", "3", uniform_ppm, "-o", str(out_path)]
-        with np.errstate(over="ignore"):
-            code, _, err = run(capsys, [*argv, "--lambda", "400"])
+        code, _, err = run(capsys, [*argv, "--lambda", "400"])
         assert code == 1
         assert "got 5.1200000000000005e-155" in err
         assert not out_path.exists()
@@ -578,6 +577,36 @@ def test_module_invocation_smoke():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "flags, code, err_start",
+    [
+        # compactness^2 overflows: refused up front, not a traceback.
+        (["--algo", "slic", "--lambda", "9", "--compactness", "1e160"], 1, "error: compactness"),
+        # compactness^2 underflows to a spatial weight of 0.
+        (["--algo", "slic", "--lambda", "9", "--compactness", "1e-170"], 0, ""),
+        # d2 * (-1 / (2 sigma^2)) overflows to -inf in the density sum.
+        (["--algo", "quickshift", "--sigma", "1e-154", "--tau", "3", "--lambda", "2"], 0, ""),
+    ],
+)
+def test_extreme_knobs_leave_stderr_clean(tmp_path, flags, code, err_start):
+    import subprocess
+    import sys
+
+    rng = np.random.default_rng(3)
+    img_path = tmp_path / "img.ppm"
+    write_ppm(rng.integers(0, 256, (24, 24, 3)).astype(np.uint8), str(img_path))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "spxkit", "superpixel",
+         *flags, str(img_path), "-o", str(tmp_path / "x.mspt")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == code
+    assert result.stderr.startswith(err_start)
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert (tmp_path / "x.mspt").exists() == (code == 0)
 
 
 def test_determinism_same_invocation_same_bytes(capsys, tmp_path):

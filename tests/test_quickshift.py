@@ -183,8 +183,10 @@ def test_param_validation_and_warning():
         QuickShiftParams(sigma=0.0)
     with pytest.raises(ValueError):
         QuickShiftParams(color_ratio=1.5)
-    with pytest.warns(UserWarning, match="tau"):
+    with pytest.warns(UserWarning, match="tau") as record:
         QuickShiftParams(sigma=5.0, tau=4.0)
+    # Reported at the line above, not inside the generated __init__.
+    assert record[0].filename == __file__
 
 
 @pytest.mark.parametrize(
@@ -232,9 +234,9 @@ def test_match_scale_refuses_a_ladder_sigma_only_when_it_reaches_it():
     params = QuickShiftParams(sigma=1e-154, tau=3.0)
     memo = {}
     # 1 / (2 sigma^2) overflows from sigma = 1e-154 * 0.8^3 on; the
-    # overflow of d2 / (2 sigma^2) to -inf before it is harmless.
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="5.1200000000000005e-155"):
-            quickshift_match_scale(lab, params, 400, memo=memo)
+    # overflow of d2 / (2 sigma^2) to -inf before it is harmless and
+    # raises no RuntimeWarning.
+    with pytest.raises(ValueError, match="5.1200000000000005e-155"):
+        quickshift_match_scale(lab, params, 400, memo=memo)
     assert list(memo) == [1e-154, 1e-154 * 0.8, 1e-154 * 0.8 * 0.8]
     assert quickshift_match_scale(lab, params, 2).num_blocks == 1  # met at once

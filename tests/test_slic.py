@@ -137,6 +137,15 @@ class TestSlicSegment:
         with pytest.raises(ValueError, match="compactness"):
             SlicParams(num_superpixels=5, compactness=bad)
 
+    @pytest.mark.parametrize("bad", [1e160, 2e154, np.float64(1e155)])
+    def test_compactness_with_overflowing_square_rejected(self, bad):
+        with pytest.raises(ValueError, match="compactness"):
+            SlicParams(num_superpixels=5, compactness=bad)
+
+    @pytest.mark.parametrize("good", [1e154, 1e-170, np.float64(5e-324)])
+    def test_compactness_with_finite_square_accepted(self, good):
+        assert SlicParams(num_superpixels=5, compactness=good).compactness == good
+
     def test_deterministic(self):
         img = smooth_random_image(11)
         lab = srgb_to_lab(img)

@@ -223,6 +223,37 @@ def test_duplicated_centers_tie_to_lowest_index():
     assert_assign_matches(lab, centers, 5.0, 4.0)
 
 
+def test_ties_across_chunks_go_to_the_lowest_index():
+    # With S = 6 on a 12x12 image the largest window is 10x11 pixels,
+    # more than H*W/4, so each chunk holds one cluster and every tie
+    # between the copies of a center is settled across chunks.
+    rng = np.random.default_rng(9)
+    lab = random_lab(rng, 12, 12, True)
+    base = oracle_initial_centers(lab, 4)
+    centers = base[[0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]]
+    got = slic_module._assign(lab, centers, 6.0, 0.5)
+    assert np.array_equal(got, oracle_assign(lab, centers, 6.0, 0.5))
+    assert np.all(got < 4)  # the first copy of each center holds every tie
+    assert set(np.unique(got)) == {0, 1, 2, 3}
+    # Copies out of order: a later, lower chunk ties what an earlier,
+    # higher one wrote, so the label drops to the lower copy.
+    order = [2, 0, 3, 1, 1, 3, 0, 2]
+    got = slic_module._assign(lab, base[order], 6.0, 0.5)
+    assert np.array_equal(got, oracle_assign(lab, base[order], 6.0, 0.5))
+    assert set(np.unique(got)) == {0, 1, 2, 3}
+
+
+def test_zero_spatial_weight_needs_no_errstate():
+    # ratio 0 meets the infinite offsets outside a window as 0 * inf =
+    # NaN, which must neither warn nor win; RuntimeWarnings are errors
+    # in this suite.
+    rng = np.random.default_rng(10)
+    lab = random_lab(rng, 20, 20, False)
+    centers = oracle_initial_centers(lab, 16)
+    got = slic_module._assign(lab, centers, 5.0, 0.0)
+    assert np.array_equal(got, oracle_assign(lab, centers, 5.0, 0.0))
+
+
 def test_colour_terms_sum_in_the_seed_order():
     # s just below 2**-53: (1 + s) + s rounds to 1.0, while 1 + (s + s)
     # gives 1 + 2**-52. Cluster 0 (diffs 1, t, t) then ties cluster 1
