@@ -13,6 +13,7 @@ __all__ = [
     "AlgorithmError",
     "SuperpixelPartition",
     "ValidationResult",
+    "check_feature_layout",
     "check_feature_map",
     "check_image",
     "check_lab_image",
@@ -66,11 +67,15 @@ class SuperpixelPartition:
 
     @cached_property
     def _plan(self) -> _BlockPlan:
+        # A stable sort's permutation is unique, so sorting the labels in
+        # the narrowest unsigned dtype that holds them gives the same
+        # member order; up to 65,536 blocks numpy radix-sorts them.
         index = self.labels.ravel().astype(np.intp)
         sizes = self.block_sizes
+        narrow = index.astype(np.min_scalar_type(sizes.size - 1))
         indptr = np.concatenate(([0], np.cumsum(sizes)))
         members = sp.csr_matrix(
-            (np.ones(index.size), np.argsort(index, kind="stable"), indptr),
+            (np.ones(index.size), np.argsort(narrow, kind="stable"), indptr),
             shape=(sizes.size, index.size),
         )
         return _BlockPlan(index, members, sizes.astype(np.float64))
@@ -175,10 +180,11 @@ def check_lab_image(lab: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_feature_map(features: np.ndarray) -> np.ndarray:
-    """Validate a finite floating feature map laid out as (channels, height, width).
+def check_feature_layout(features: np.ndarray) -> np.ndarray:
+    """Validate a floating feature map laid out as (channels, height, width).
 
-    NaN or infinity would spread to its whole block through the block mean.
+    Values are not read: message passing finds NaN and infinity in its
+    block sums instead (see :mod:`spxkit.msgpass`).
     """
     arr = np.asarray(features)
     if arr.ndim != 3:
@@ -187,6 +193,15 @@ def check_feature_map(features: np.ndarray) -> np.ndarray:
         raise ValueError(f"feature map must be floating point, got {arr.dtype}")
     if min(arr.shape) < 1:
         raise ValueError(f"every dimension must be >= 1, got {arr.shape}")
+    return arr
+
+
+def check_feature_map(features: np.ndarray) -> np.ndarray:
+    """Validate a finite floating feature map laid out as (channels, height, width).
+
+    NaN or infinity would spread to its whole block through the block mean.
+    """
+    arr = check_feature_layout(features)
     if not np.isfinite(arr).all():
         raise ValueError("feature map must be finite, found NaN or infinity")
     return arr

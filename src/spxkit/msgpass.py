@@ -20,6 +20,14 @@ from 0.0 over its entries in ascending column order, which is the
 row-major pixel order in which ``np.bincount(labels, weights=row)``
 accumulates, and every entry is 1.0, so each product is exact and the
 sums equal ``bincount``'s bit for bit.
+
+The block sums also stand in for a scan of the whole map for NaN and
+infinity. Both survive float64 addition (inf + -inf is NaN), and finite
+float16 or float32 values cannot overflow a float64 sum, so for those
+dtypes "every block sum is finite" is "every value is finite". A finite
+float64 map whose block sum overflows is rejected too, with an error
+that says so. An output that overflows its dtype raises ``ValueError``
+rather than holding inf.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import numpy as np
 from .color import srgb_to_lab
 from .core import (
     SuperpixelPartition,
+    check_feature_layout,
     check_feature_map,
     check_image,
     relabel_contiguous,
@@ -63,7 +72,7 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_pair(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray:
-    x = check_feature_map(features)
+    x = check_feature_layout(features)
     if partition.labels.shape != x.shape[1:]:
         raise ValueError(
             f"partition is {partition.labels.shape}, feature map is "
@@ -73,17 +82,27 @@ def _check_pair(features: np.ndarray, partition: SuperpixelPartition) -> np.ndar
 
 
 def _channel_means(x: np.ndarray, partition: SuperpixelPartition):
-    """Yield (channel, float64 row copy, block means) per channel, unchecked.
+    """Yield (channel, float64 row copy, block means) per channel.
 
     Each block sum is a row of the CSR product ``members @ row``: it
     starts from 0.0 and adds the block's pixels in ascending row-major
     order, each times an exact 1.0, so it equals the sum that
     ``np.bincount(labels, weights=row)`` accumulates, bit for bit.
+    A channel whose block sums are not all finite raises ``ValueError``
+    (see the module docstring).
     """
     plan = partition._plan
     for c in range(x.shape[0]):
         row = x[c].ravel().astype(np.float64)
-        yield c, row, (plan.members @ row) / plan.sizes
+        sums = plan.members @ row
+        if not np.isfinite(sums).all():
+            if np.isfinite(row).all():
+                raise ValueError(
+                    f"feature map is finite, but a block sum in channel {c} "
+                    "overflows float64"
+                )
+            raise ValueError("feature map must be finite, found NaN or infinity")
+        yield c, row, sums / plan.sizes
 
 
 def block_means(
@@ -112,15 +131,23 @@ def message_pass(
 
     Output dtype matches the input's floating dtype; internals are
     float64, one channel at a time, so extra memory is O(H*W) beside
-    the partition's cached plan.
+    the partition's cached plan. A result beyond the output dtype's
+    range raises ``ValueError``.
     """
     x = _check_pair(features, partition)
     _check_alpha(alpha)
     out = np.empty_like(x)
     idx = partition._plan.index
-    for c, row, m in _channel_means(x, partition):
-        row += np.take(alpha * m, idx)
-        out[c] = row.reshape(x.shape[1:])
+    try:
+        with np.errstate(over="raise"):
+            for c, row, m in _channel_means(x, partition):
+                row += np.take(alpha * m, idx)
+                out[c] = row.reshape(x.shape[1:])
+    except FloatingPointError:
+        raise ValueError(
+            f"message passing overflows the {x.dtype} output: "
+            "features + alpha * block mean exceed its range"
+        ) from None
     return out
 
 
@@ -147,6 +174,10 @@ def downsample_partition(
     contiguous relabel.
     """
     h_src, w_src = partition.labels.shape
+    for name, dim in (("target_height", target_height), ("target_width", target_width)):
+        if not isinstance(dim, Integral):
+            raise ValueError(f"{name} must be an integer, got {dim!r}")
+    target_height, target_width = int(target_height), int(target_width)
     if not (1 <= target_height <= h_src and 1 <= target_width <= w_src):
         raise ValueError(
             f"target dims ({target_height}, {target_width}) must be in "
@@ -161,9 +192,12 @@ def downsample_partition(
 
     # Majority vote over runs of the sorted (cell, label) key. Every cell
     # covers a source pixel; lexsort puts each cell's largest count first
-    # and, being stable, keeps tied runs in ascending label order.
+    # and, being stable, keeps tied runs in ascending label order. The
+    # keys sort in the narrowest unsigned dtype that holds every key and
+    # K, so the divmod below stays in it too.
     k = partition.num_blocks
-    joint = np.sort(cell.ravel() * k + partition.labels.ravel())
+    narrow = np.min_scalar_type(max(target_height * target_width * k - 1, k))
+    joint = np.sort((cell.ravel() * k + partition.labels.ravel()).astype(narrow))
     starts = np.flatnonzero(np.r_[True, joint[1:] != joint[:-1]])
     counts = np.diff(np.r_[starts, joint.size])
     run_cell, run_label = np.divmod(joint[starts], k)

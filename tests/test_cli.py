@@ -217,6 +217,29 @@ class TestMspApply:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("scales", ["4", "4,9"])
+    def test_output_overflow_exits_1(self, capsys, tmp_path, scales):
+        # Finite float32 features of 3.3e38 plus 0.1 times their mean pass
+        # float32's largest value at the first stage.
+        img_path = tmp_path / "img.ppm"
+        rng = np.random.default_rng(2)
+        write_ppm(rng.integers(0, 256, (32, 32, 3)).astype(np.uint8), str(img_path))
+        feat_path = tmp_path / "features.mspt"
+        write_mspt(np.full((2, 32, 32), 3.3e38, dtype=np.float32), str(feat_path))
+        out_path = tmp_path / "out.mspt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys,
+                ["msp-apply", "--image", str(img_path), "--features", str(feat_path),
+                 "--scales", scales, "--alpha", "0.1", "-o", str(out_path)],
+            )
+        assert code == 1
+        assert "overflows the float32 output" in err
+        assert not out_path.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestRefine:
     def test_block_constant_one_hot_keeps_argmax(self, capsys, tmp_path):
         img = np.zeros((16, 16, 3), np.uint8)

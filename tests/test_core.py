@@ -184,6 +184,23 @@ class TestRelabelMatchesOracle:
         assert peak <= 16 * raw.size, f"{peak / raw.size:.1f} B/pixel"
 
 
+class TestBlockPlan:
+    @pytest.mark.parametrize("blocks", [1, 256, 257, 65_536, 65_537])
+    def test_member_order_is_the_stable_argsort(self, blocks):
+        # The plan sorts labels as uint8, uint16 or uint32, whichever holds
+        # them; a stable sort's permutation is unique, so it must equal the
+        # stable argsort of the intp labels on each side of every width.
+        rng = np.random.default_rng(blocks)
+        raw = rng.integers(0, blocks, 300 * 300)
+        raw[rng.permutation(raw.size)[:blocks]] = np.arange(blocks)
+        part = relabel_contiguous(raw.reshape(300, 300))
+        assert part.num_blocks == blocks
+        members = part._plan.members
+        index = part.labels.ravel().astype(np.intp)
+        assert np.array_equal(members.indices, np.argsort(index, kind="stable"))
+        assert np.array_equal(np.diff(members.indptr), part.block_sizes)
+
+
 class TestMspConfig:
     def test_defaults_are_valid(self):
         config = MspConfig()

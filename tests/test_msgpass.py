@@ -122,6 +122,25 @@ class TestMessagePass:
                 call()
 
 
+    @pytest.mark.parametrize(
+        "dtype, value, alpha",
+        [(np.float16, 65000.0, 0.1), (np.float32, 3.3e38, 0.1), (np.float64, 4e307, 4.0)],
+    )
+    def test_output_overflow_rejected(self, dtype, value, alpha):
+        # Finite input and finite block sums, but the pass leaves the
+        # dtype's range: float16 and float32 overflow in the cast, float64
+        # in alpha * mean + x.
+        x = np.full((2, 2, 2), value, dtype=dtype)
+        for op in (message_pass, message_pass_grad):
+            with pytest.raises(ValueError, match=f"overflows the {np.dtype(dtype).name} output"):
+                op(x, ONE_BLOCK, alpha)
+
+    def test_output_just_inside_range_accepted(self):
+        x = np.full((1, 2, 2), 3.0e38, dtype=np.float32)
+        out = message_pass(x, ONE_BLOCK, 0.1)
+        assert np.isfinite(out).all()
+
+
 class TestOperatorProperties:
     def setup_method(self):
         self.rng = np.random.default_rng(77)
@@ -255,6 +274,22 @@ class TestDownsamplePartition:
         part = part_from([[0, 1], [2, 3]])
         with pytest.raises(ValueError):
             downsample_partition(part, 4, 2)
+
+    @pytest.mark.parametrize(
+        "dims, name",
+        [((4.0, 4), "target_height"), ((2.5, 3), "target_height"),
+         ((2, 1.0), "target_width"), ((2, "2"), "target_width"), ((None, 2), "target_height")],
+    )
+    def test_rejects_non_integer_dims(self, dims, name):
+        part = part_from(np.arange(16).reshape(4, 4) // 4)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            downsample_partition(part, *dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        part = part_from(np.arange(16).reshape(4, 4) // 4)
+        want = downsample_partition(part, 2, 2)
+        for th, tw in [(np.int32(2), np.int64(2)), (np.uint8(2), np.int16(2))]:
+            assert np.array_equal(downsample_partition(part, th, tw).labels, want.labels)
 
 
 class TestCascade:

@@ -12,6 +12,8 @@ labels must use memory at most linear in the pixels.
 import tracemalloc
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -333,3 +335,140 @@ def test_message_pass_memory_is_linear_in_pixels():
         tracemalloc.stop()
     extra = peak - out.nbytes
     assert extra < 64 * 256 * 256, f"{extra / 2**20:.1f} MiB beside the output"
+
+
+# ---------------------------------------------------------------------------
+# Finiteness read from the block sums, and votes on keys past 32 bits
+
+
+@st.composite
+def non_finite_cases(draw):
+    """(features, partition) with NaN, +inf or -inf anywhere, or nowhere."""
+    h, w, c = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (rng.standard_normal((c, h, w)) * 100).astype(dtype)
+    for _ in range(draw(st.integers(0, 3))):
+        at = (draw(st.integers(0, c - 1)), draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)))
+        x[at] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if draw(st.booleans()):
+        part = relabel_contiguous(np.arange(h * w).reshape(h, w))  # one-pixel blocks
+    else:
+        part = draw(partitions(h, w))
+    return x, part
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=non_finite_cases())
+def test_non_finite_verdict_matches_full_scan(case):
+    x, part = case
+    finite = bool(np.isfinite(x).all())
+    for op in (
+        lambda: msgpass.message_pass(x, part, 0.1),
+        lambda: msgpass.block_means(x, part),
+        lambda: msgpass.mean_map(x, part),
+    ):
+        if finite:
+            op()
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                op()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_opposite_infinities_in_one_block_rejected(dtype):
+    # +inf + -inf is NaN, which the block sum still carries.
+    x = np.zeros((2, 2, 2), dtype=dtype)
+    x[1, 0, 0], x[1, 1, 1] = np.inf, -np.inf
+    part = relabel_contiguous(np.zeros((2, 2), dtype=np.int64))
+    for op in (msgpass.block_means, msgpass.mean_map):
+        with pytest.raises(ValueError, match="finite"):
+            op(x, part)
+    with pytest.raises(ValueError, match="finite"):
+        msgpass.message_pass(x, part, 0.1)
+
+
+def test_float64_block_sum_overflow_rejected():
+    # Every value is finite, but 1e308 + 1e308 is not.
+    x = np.zeros((1, 2, 2))
+    x[0, 0] = 1e308
+    part = relabel_contiguous(np.array([[0, 0], [1, 1]]))
+    for op in (msgpass.block_means, msgpass.mean_map):
+        with pytest.raises(ValueError, match="block sum .* overflows float64"):
+            op(x, part)
+    with pytest.raises(ValueError, match="block sum .* overflows float64"):
+        msgpass.message_pass(x, part, 0.1)
+
+
+def test_one_pass_reads_values_without_a_map_sized_scan():
+    # With the plan built, one pass on a (64, 256, 256) float32 map needs a
+    # float64 row and its gathered message beside its output: about 1 MiB.
+    # A finiteness scan of the whole map would hold a C*H*W bool array,
+    # 4 MiB. message_pass allocates its output after any such scan, so
+    # the scan shows in block_means, whose (C, K) output is small and
+    # counts against the bound too.
+    rng = np.random.default_rng(8)
+    part = msgpass.random_partition(256, 256, 300, rng)
+    part._plan  # built before tracing, as a cached partition would be
+    x = rng.standard_normal((64, 256, 256), dtype=np.float32)
+
+    def traced_peak(op):
+        tracemalloc.start()
+        try:
+            out = op()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    _, peak = traced_peak(lambda: msgpass.block_means(x, part))
+    assert peak < x.size, f"block_means peaks at {peak / 2**20:.2f} MiB"
+    out, peak = traced_peak(lambda: msgpass.message_pass(x, part, 0.1))
+    extra = peak - out.nbytes
+    assert extra < x.size, f"message_pass: {extra / 2**20:.2f} MiB beside the output"
+
+
+def _sparse_vote(partition, target_height, target_width):
+    """The oracle's vote with its (cells x blocks) count table held sparse.
+
+    A CSR row lists its labels in ascending order, so the first entry
+    holding the row maximum is what ``np.argmax`` picks from the dense
+    row (a zero never wins: every cell covers a pixel).
+    """
+    h_src, w_src = partition.labels.shape
+    ty = ((np.arange(h_src, dtype=np.int64) + 1) * target_height - 1) // h_src
+    tx = ((np.arange(w_src, dtype=np.int64) + 1) * target_width - 1) // w_src
+    cell = (ty[:, None] * target_width + tx[None, :]).ravel()
+    cells, k = target_height * target_width, partition.num_blocks
+    counts = sp.csr_matrix(
+        (np.ones(cell.size, dtype=np.int64), (cell, partition.labels.ravel())),
+        shape=(cells, k),
+    )
+    counts.sum_duplicates()
+    top = np.maximum.reduceat(counts.data, counts.indptr[:-1])
+    row = np.repeat(np.arange(cells), np.diff(counts.indptr))
+    hit = np.flatnonzero(counts.data == top[row])
+    first = hit[np.unique(row[hit], return_index=True)[1]]
+    majority = counts.indices[first].astype(np.int64)
+    return relabel_contiguous(majority.reshape(target_height, target_width))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=downsample_cases())
+def test_sparse_vote_matches_dense_oracle(case):
+    part, th, tw = case
+    assert _same_partition(_sparse_vote(part, th, tw), downsample_partition(part, th, tw))
+
+
+@pytest.mark.parametrize("blocks", [65_536, 65_537])
+def test_downsample_keys_across_the_32_bit_boundary(blocks):
+    # 256 * 256 cells times 65,536 blocks is 2**32 keys, the most uint32
+    # holds; one block more needs uint64. The dense table would hold
+    # 2**32 counts, so the check uses its sparse form.
+    rng = np.random.default_rng(blocks)
+    raw = rng.integers(0, blocks, 512 * 256)
+    raw[rng.permutation(raw.size)[:blocks]] = np.arange(blocks)
+    part = relabel_contiguous(raw.reshape(512, 256))
+    assert part.num_blocks == blocks
+    got = msgpass.downsample_partition(part, 256, 256)
+    assert _same_partition(got, _sparse_vote(part, 256, 256))
