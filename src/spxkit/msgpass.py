@@ -337,8 +337,11 @@ def refine_probabilities(
     Returns an (H, W) uint32 label map; argmax ties resolve to the
     smallest class index.
     """
-    p = check_feature_map(probs)
-    if (p < 0).any():
+    p = check_feature_layout(probs)
+    # NaN and -inf fail this test too; cascade_forward's finiteness scan
+    # catches +inf. On failure, "finite" is reported before "nonnegative".
+    if not (p >= 0).all():
+        check_feature_map(p)
         raise ValueError("probabilities must be nonnegative")
     out, _ = cascade_forward(p, image, config)
     return np.argmax(out, axis=0).astype(np.uint32)

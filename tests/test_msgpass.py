@@ -462,3 +462,27 @@ class TestRefineProbabilities:
         probs[0, 2, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             refine_probabilities(probs, img, MspConfig(scales=(2,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_reported_before_negative(self, bad):
+        img = np.zeros((4, 4, 3), np.uint8)
+        probs = np.full((2, 4, 4), 0.5)
+        probs[1, 0, 3] = -1.0
+        probs[0, 2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            refine_probabilities(probs, img, MspConfig(scales=(2,)))
+
+    def test_scans_finiteness_once(self, monkeypatch):
+        calls = []
+        check = msgpass_module.check_feature_map
+
+        def counting(features):
+            calls.append(features)
+            return check(features)
+
+        monkeypatch.setattr(msgpass_module, "check_feature_map", counting)
+        rng = np.random.default_rng(14)
+        img = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
+        probs = rng.uniform(0.0, 1.0, size=(2, 8, 8))
+        refine_probabilities(probs, img, MspConfig(scales=(4,)))
+        assert len(calls) == 1  # cascade_forward's own check

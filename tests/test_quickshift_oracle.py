@@ -1,18 +1,22 @@
-"""Quick Shift against the earlier implementation, and the shared sweep.
+"""Quick Shift against the earlier implementations, and the shared sweep.
 
-The oracle below is the original ``quickshift_segment``, which scans every
-window offset for links and breaks density ties by comparing row-major
-indices, and the original ``quickshift_match_scale``, which restarts its
-sigma sweep on every call. The library versions skip offsets beyond tau,
-break density ties by the sign of the offset's index step, segment
-several sigmas in one window walk, and share one sweep across the scales
-of a cascade; labels and cascade outputs must stay the same, bit for bit.
+The first oracle below is the original ``quickshift_segment``, which scans
+every window offset for links and breaks density ties by comparing
+row-major indices, and the original ``quickshift_match_scale``, which
+restarts its sigma sweep on every call. The second is the several-sigma
+walk that linked every pixel over every link offset in row-major order
+(``oracle_segment_sigmas``). The library versions skip offsets beyond
+tau, break density ties by the sign of the offset's index step, segment
+several sigmas in one window walk, link nearest-first, and share one
+sweep across the scales of a cascade; labels and cascade outputs must
+stay the same, bit for bit.
 """
 
 import importlib
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 from dataclasses import replace
 
 import numpy as np
@@ -30,8 +34,8 @@ from spxkit import (
     quickshift_segment,
     srgb_to_lab,
 )
-from spxkit.core import SuperpixelPartition, relabel_contiguous
-from spxkit.quickshift import _offset_slices
+from spxkit.core import SuperpixelPartition, check_lab_image, relabel_contiguous
+from spxkit.quickshift import _offset_slices, _runs, _sq_dist
 
 qs_module = importlib.import_module("spxkit.quickshift")
 
@@ -103,6 +107,62 @@ def oracle_quickshift_segment(
             break
         roots = hopped
     return relabel_contiguous(roots.reshape(h, w))
+
+
+def oracle_segment_sigmas(
+    lab: np.ndarray, params: QuickShiftParams, sigmas: list[float]
+) -> list[np.ndarray]:
+    """Each pixel's parent at each of ``sigmas``, flat (H*W), by the
+    several-sigma walk that links every pixel over every link offset
+    of its sigma's window in row-major order."""
+    lab = check_lab_image(lab)
+    h, w = lab.shape[:2]
+    size = (h + 2) * w
+
+    planes = np.zeros((3, size))
+    planes[:, w:-w] = np.moveaxis(lab * params.color_ratio, 2, 0).reshape(3, -1)
+    scratch = np.empty((3, h * w))
+    radii = [min(int(math.ceil(3.0 * s)), max(h, w) - 1) for s in sigmas]
+    radius = max(radii)
+    window = []
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            a, _ = _offset_slices(h, w, dy, dx)
+            if a[0].start < a[0].stop and a[1].start < a[1].stop:
+                reach = max(abs(dy), abs(dx))
+                held = [k for k, r in enumerate(radii) if reach <= r]
+                window.append((dy, dx, a, *_runs(w, a, dy, dx), held))
+
+    neg_inv_two_sigma2 = [-(1.0 / (2.0 * s**2)) for s in sigmas]
+    density = [np.zeros(size) for _ in sigmas]
+    with np.errstate(over="ignore"):
+        for dy, dx, a, run, _, held in window:
+            d2 = _sq_dist(planes, w, a, dy, dx, scratch)
+            term = scratch[1, :d2.size]
+            for k in held:
+                np.multiply(d2, neg_inv_two_sigma2[k], out=term)
+                density[k][run] += np.exp(term, out=term)
+
+    idx = np.arange(-w, size - w, dtype=np.int64)
+    parent = [idx.copy() for _ in sigmas]
+    best_d2 = [np.full(size, np.inf) for _ in sigmas]
+    tau2 = params.tau**2
+    for dy, dx, a, run, nbr, held in window:
+        if (dy == 0 and dx == 0) or dy * dy + dx * dx > tau2:
+            continue
+        d2 = _sq_dist(planes, w, a, dy, dx, scratch)
+        near = d2 <= tau2
+        ties_up = dy * w + dx < 0
+        for k in held:
+            dens, best = density[k], best_d2[k][run]
+            if ties_up:
+                higher = dens[nbr] >= dens[run]
+            else:
+                higher = dens[nbr] > dens[run]
+            take = higher & near & (d2 < best)
+            np.copyto(best, d2, where=take)
+            np.copyto(parent[k][run], idx[nbr], where=take)
+    return [links[w:-w] for links in parent]
 
 
 def oracle_match_scale(
@@ -240,13 +300,16 @@ def test_cascade_matches_seed_style_loop():
         assert np.array_equal(g.block_sizes, w.block_sizes)
 
 
-def walk_offsets(radius: int, tau: float) -> list[tuple[int, int]]:
+def walk_offsets(radius: int, tau: float, dense: bool) -> list[tuple[int, int]]:
     """The offsets one walk measures, in order: every window offset for
-    density, then the link offsets (0 < dy^2 + dx^2 <= tau^2)."""
+    density, the 8 nearest link offsets for every pixel, then, when more
+    than a fixed share of pixels stays open, every link offset
+    (0 < dy^2 + dx^2 <= tau^2) in the row-major link walk."""
     window = [(dy, dx) for dy in range(-radius, radius + 1)
               for dx in range(-radius, radius + 1)]
     links = [(dy, dx) for dy, dx in window if 0 < dy * dy + dx * dx <= tau**2]
-    return window + links
+    nearest = [(dy, dx) for dy, dx in links if dy * dy + dx * dx <= 2]
+    return window + nearest + (links if dense else [])
 
 
 def test_cascade_walks_the_window_twice(monkeypatch):
@@ -264,7 +327,9 @@ def test_cascade_walks_the_window_twice(monkeypatch):
     # Scale 6 is met at sigma 5 (window radius 15); scale 16 misses it,
     # and one walk at sigma 4 (radius 12, the widest of the rest of the
     # ladder) serves sigmas 4 down to 5 * 0.8^7 for scales 16 and 60.
-    want = walk_offsets(15, 10.0) + walk_offsets(12, 10.0)
+    # The scene is noisy, so both walks link densely; every sigma of
+    # the ladder with a dense link walk holds all the link offsets.
+    want = walk_offsets(15, 10.0, dense=True) + walk_offsets(12, 10.0, dense=True)
     with pytest.warns(UserWarning, match="missed"):
         cascade_forward(features, image, config)
     assert measured == want
@@ -399,3 +464,164 @@ def test_each_window_offset_is_sliced_once(monkeypatch):
     window = [(dy, dx) for dy in range(-3, 4) for dx in range(-3, 4)]
     assert sorted(calls) == window
     assert np.array_equal(got.labels, oracle_quickshift_segment(lab, params).labels)
+
+
+@st.composite
+def tie_images(draw):
+    """2 to 4 colours in blocks, so densities tie and link distances are
+    equal across offsets. Some images are 2 pixels high or wide, the
+    least the library takes, so most window offsets leave them."""
+    form = draw(st.sampled_from(["two rows", "two columns", "any"]))
+    h = 2 if form == "two rows" else draw(st.integers(2, 16 if form == "any" else 24))
+    w = 2 if form == "two columns" else draw(st.integers(2, 16 if form == "any" else 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    colours = rng.integers(0, 256, (draw(st.integers(2, 4)), 3))
+    cell = draw(st.integers(1, 4))
+    coarse = colours[rng.integers(0, len(colours), (-(-h // cell), -(-w // cell)))]
+    img = np.repeat(np.repeat(coarse, cell, axis=0), cell, axis=1)[:h, :w]
+    return srgb_to_lab(img.astype(np.uint8))
+
+
+@st.composite
+def integer_lab_images(draw):
+    """Lab images of small integers in blocks. With a colour ratio of
+    0.5 or 1, every d2 is exact, so a farther offset can tie a nearer
+    one (say d2 = 4 + 1 against 0 + 5) and the index step decides."""
+    h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(2, 4))
+    cell = draw(st.integers(1, 3))
+    coarse = rng.integers(0, levels, (-(-h // cell), -(-w // cell), 3))
+    return np.repeat(np.repeat(coarse, cell, axis=0), cell, axis=1)[:h, :w].astype(float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lab=st.one_of(tie_images(), lab_images(), integer_lab_images()),
+    sigmas=sigma_ladders(),
+    color_ratio=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    tau=st.sampled_from([0.0, 1.0, math.sqrt(2.0), 1.5, 2.0, 3.0, math.inf])
+    | st.floats(0.0, 40.0),
+    dense_open=st.sampled_from([None, 0.0, 1.0]),
+)
+def test_nearest_first_links_match_row_major_walk(lab, sigmas, color_ratio, tau, dense_open):
+    # dense_open 0.0 sends every sigma with an open pixel to the
+    # row-major walk and 1.0 sends every one to the gather; None keeps
+    # the library's switch point.
+    params = quiet_params(sigma=sigmas[0], tau=tau, color_ratio=color_ratio)
+    want = oracle_segment_sigmas(lab, params, sigmas)
+    switch = qs_module._DENSE_OPEN if dense_open is None else dense_open
+    with mock.patch.object(qs_module, "_DENSE_OPEN", switch):
+        got = qs_module._parents(check_lab_image(lab), params, sigmas)
+        parts = qs_module._segment_sigmas(lab, params, sigmas)
+    assert len(got) == len(parts) == len(sigmas)
+    for sigma, links, want_links, part in zip(sigmas, got, want, parts):
+        assert np.array_equal(links, want_links)  # the same parents, not only the same trees
+        one = oracle_quickshift_segment(lab, quiet_params(
+            sigma=sigma, tau=tau, color_ratio=color_ratio))
+        assert np.array_equal(part.labels, one.labels)
+
+
+@pytest.mark.parametrize("dense_open", [0.0, 1.0])
+def test_exact_distance_ties_go_to_the_smaller_step(dense_open):
+    # Small-integer Lab values at colour ratio 1 make every d2 exact,
+    # so a pixel's nearest link (say d2 = 4 + 1) often ties a farther
+    # offset (0 + 5), and the farther one wins when its index step is
+    # smaller. Both link paths must agree with the row-major walk.
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(2, 10, 2)
+        lab = rng.integers(0, rng.integers(2, 5), (h, w, 3)).astype(float)
+        sigmas = [float(rng.uniform(0.5, 3.0)), 0.8]
+        params = quiet_params(sigma=sigmas[0], tau=float(rng.choice([2.0, 3.0, 5.0, 10.0])),
+                              color_ratio=1.0)
+        want = oracle_segment_sigmas(lab, params, sigmas)
+        with mock.patch.object(qs_module, "_DENSE_OPEN", dense_open):
+            got = qs_module._parents(lab, params, sigmas)
+        for links, want_links in zip(got, want):
+            assert np.array_equal(links, want_links), seed
+
+
+def test_gather_agrees_with_walk_on_tied_densities():
+    # The two link paths on made-up densities of two values, which tie
+    # everywhere, and small-integer colours, which tie distances: the
+    # 8 nearest offsets then the gather must give what the row-major
+    # walk over every link offset gives, distance for distance.
+    walk, gather = qs_module._link_walk, qs_module._link_gather
+    for seed in range(80):
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(2, 9, 2))
+        size = (h + 2) * w
+        planes = np.zeros((3, size))
+        planes[:, w:-w] = rng.integers(0, 3, (3, h * w))
+        density = [np.zeros(size)]
+        density[0][w:-w] = rng.integers(1, 3, h * w)
+        window = qs_module._window(h, w, [int(rng.integers(1, max(h, w)))])
+        tau2 = float(rng.choice([2.0, 4.0, 9.0, 25.0, math.inf]))
+        links = [o for o in window if 0 < o[0] ** 2 + o[1] ** 2 <= tau2]
+        nearest = [o for o in links if o[0] ** 2 + o[1] ** 2 <= 2]
+        far = [o for o in links if o[0] ** 2 + o[1] ** 2 > 2]
+        idx = np.arange(-w, size - w)
+        scratch = np.empty((3, h * w))
+        unlinked = float(np.nextafter(tau2, np.inf))
+        best, parent = [np.full(size, unlinked)], [idx.copy()]
+        walk(planes, w, links, [0], density, best, parent, idx, scratch)
+        got_best, got_parent = [np.full(size, unlinked)], [idx.copy()]
+        walk(planes, w, nearest, [0], density, got_best, got_parent, idx, scratch)
+        pixels = np.flatnonzero(got_best[0][w:-w] >= 4.0)
+        if far and pixels.size:
+            gather(planes, h, w, far, [(0, pixels)], density, got_best, got_parent, unlinked)
+        assert np.array_equal(got_parent[0], parent[0]), seed
+        assert np.array_equal(got_best[0], best[0]), seed
+
+
+@pytest.mark.parametrize("shape", [(1, 9, 3), (9, 1, 3)])
+def test_single_row_or_column_is_refused(shape):
+    lab = np.zeros(shape)
+    for segment in (oracle_segment_sigmas, qs_module._segment_sigmas):
+        with pytest.raises(ValueError, match="at least 2x2"):
+            segment(lab, QuickShiftParams(), [5.0])
+
+
+def clean_scene() -> np.ndarray:
+    """The quadrants of ``two_by_two_scene`` without its noise."""
+    yy, xx = np.mgrid[:24, :24]
+    img = np.zeros((24, 24, 3))
+    img[..., 0] = np.where(xx < 12, 200, 40)
+    img[..., 1] = np.where(yy < 12, 180, 60)
+    img[..., 2] = 100 + 3 * xx
+    return img.astype(np.uint8)
+
+
+@pytest.mark.parametrize("scene, path", [("clean", "gather"), ("noise", "walk")])
+def test_clean_scenes_gather_and_noise_walks(monkeypatch, scene, path):
+    if scene == "clean":
+        lab = srgb_to_lab(clean_scene())
+    else:
+        rng = np.random.default_rng(9)
+        lab = srgb_to_lab(rng.integers(0, 256, (24, 24, 3)).astype(np.uint8))
+    sigmas = [5.0, 4.0, 3.2]
+    gathered, walked = [], []  # the sigma indices each path links
+    gather, walk = qs_module._link_gather, qs_module._link_walk
+
+    def counting_gather(planes, h, w, far, jobs, *rest):
+        gathered.extend(k for k, _ in jobs)
+        return gather(planes, h, w, far, jobs, *rest)
+
+    def counting_walk(planes, w, offsets, ks, *rest):
+        walked.append((len(offsets), list(ks)))
+        return walk(planes, w, offsets, ks, *rest)
+
+    monkeypatch.setattr(qs_module, "_link_gather", counting_gather)
+    monkeypatch.setattr(qs_module, "_link_walk", counting_walk)
+    params = QuickShiftParams()
+    got = qs_module._segment_sigmas(lab, params, sigmas)
+    probe = (8, [0, 1, 2])  # the 8 nearest offsets, for every sigma
+    links = sum(0 < dy * dy + dx * dx <= 100 for dy in range(-10, 11) for dx in range(-10, 11))
+    if path == "gather":
+        assert gathered == [0, 1, 2] and walked == [probe]
+    else:  # every link offset within tau, for every sigma
+        assert gathered == [] and walked == [probe, (links, [0, 1, 2])]
+    for sigma, part in zip(sigmas, got):
+        want = oracle_quickshift_segment(lab, replace(params, sigma=sigma))
+        assert np.array_equal(part.labels, want.labels)
