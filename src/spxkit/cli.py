@@ -194,7 +194,7 @@ def _cmd_msp_apply(args) -> int:
     image = read_ppm(args.image)
     features = _read_tensor(args.features, 3, np.float32)
     out, _ = cascade_forward(features, image, config)
-    write_mspt(out.astype(np.float32), args.output)
+    write_mspt(out, args.output)
     return 0
 
 

@@ -13,13 +13,16 @@ superpixels from the full-resolution image and mapping them down to
 feature resolution by per-cell majority vote.
 
 All arithmetic accumulates in float64 in a fixed row-major order, so
-results are bit-reproducible run to run. Block sums are one sparse
-product per channel with the partition's cached CSR membership matrix
-(see :class:`~spxkit.core.SuperpixelPartition`): a CSR row is summed
-from 0.0 over its entries in ascending column order, which is the
-row-major pixel order in which ``np.bincount(labels, weights=row)``
-accumulates, and every entry is 1.0, so each product is exact and the
-sums equal ``bincount``'s bit for bit.
+results are bit-reproducible run to run. A pass or a whole cascade runs
+channel by channel: all stages of one channel run, each rounded to the
+output dtype, before the next channel starts, so the scratch beside one
+output is O(H*W). Block sums are one sparse product per channel with the
+partition's cached CSR membership matrix (see
+:class:`~spxkit.core.SuperpixelPartition`): a CSR row is summed from 0.0
+over its entries in ascending column order, which is the row-major pixel
+order in which ``np.bincount(labels, weights=row)`` accumulates, and
+every entry is 1.0, so each product is exact and the sums equal
+``bincount``'s bit for bit.
 
 The block sums also stand in for a scan of the whole map for NaN and
 infinity. Both survive float64 addition (inf + -inf is NaN), and finite
@@ -27,7 +30,8 @@ float16 or float32 values cannot overflow a float64 sum, so for those
 dtypes "every block sum is finite" is "every value is finite". A finite
 float64 map whose block sum overflows is rejected too, with an error
 that says so. An output that overflows its dtype raises ``ValueError``
-rather than holding inf.
+rather than holding inf. With several faults in one map, the first
+channel holding one, at any stage, sets the error.
 """
 
 from __future__ import annotations
@@ -81,28 +85,25 @@ def _check_pair(features: np.ndarray, partition: SuperpixelPartition) -> np.ndar
     return x
 
 
-def _channel_means(x: np.ndarray, partition: SuperpixelPartition):
-    """Yield (channel, float64 row copy, block means) per channel.
+def _block_sums(row: np.ndarray, plan, c: int) -> np.ndarray:
+    """Block sums of channel ``c``'s float64 row, ``plan.members @ row``:
+    ``np.bincount``'s bit for bit, and ``ValueError`` unless all are finite."""
+    sums = plan.members @ row
+    if not np.isfinite(sums).all():
+        if np.isfinite(row).all():
+            raise ValueError(
+                f"feature map is finite, but a block sum in channel {c} "
+                "overflows float64"
+            )
+        raise ValueError("feature map must be finite, found NaN or infinity")
+    return sums
 
-    Each block sum is a row of the CSR product ``members @ row``: it
-    starts from 0.0 and adds the block's pixels in ascending row-major
-    order, each times an exact 1.0, so it equals the sum that
-    ``np.bincount(labels, weights=row)`` accumulates, bit for bit.
-    A channel whose block sums are not all finite raises ``ValueError``
-    (see the module docstring).
-    """
+
+def _channel_means(x: np.ndarray, partition: SuperpixelPartition):
+    """Yield each channel's block means, float64."""
     plan = partition._plan
     for c in range(x.shape[0]):
-        row = x[c].ravel().astype(np.float64)
-        sums = plan.members @ row
-        if not np.isfinite(sums).all():
-            if np.isfinite(row).all():
-                raise ValueError(
-                    f"feature map is finite, but a block sum in channel {c} "
-                    "overflows float64"
-                )
-            raise ValueError("feature map must be finite, found NaN or infinity")
-        yield c, row, sums / plan.sizes
+        yield _block_sums(x[c].ravel().astype(np.float64), plan, c) / plan.sizes
 
 
 def block_means(
@@ -110,7 +111,7 @@ def block_means(
 ) -> np.ndarray:
     """Per-block channel means, shape (C, num_blocks), float64."""
     x = _check_pair(features, partition)
-    return np.array([m for _, _, m in _channel_means(x, partition)])
+    return np.array(list(_channel_means(x, partition)))
 
 
 def mean_map(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray:
@@ -120,8 +121,37 @@ def mean_map(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray
     reproduces the same map (up to roundoff).
     """
     x = _check_pair(features, partition)
-    means = np.array([m for _, _, m in _channel_means(x, partition)])
+    means = np.array(list(_channel_means(x, partition)))
     return np.take(means, partition._plan.index, axis=1).reshape(x.shape)
+
+
+def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
+    """Single-scale passes over ``partitions`` in order, channel by channel;
+    each stage's float64 result is rounded to the input dtype, as one pass stores it."""
+    for part in partitions:
+        x = _check_pair(features, part)
+    _check_alpha(alpha)
+    plans = [part._plan for part in partitions]
+    out, kept = np.empty_like(x), np.empty(x[0].size, x.dtype)
+    row, message = np.empty(kept.size), np.empty(kept.size)
+    try:
+        with np.errstate(over="raise"):
+            for c in range(x.shape[0]):
+                kept.reshape(x.shape[1:])[...] = x[c]
+                for plan in plans:
+                    row[...] = kept
+                    means = _block_sums(row, plan, c) / plan.sizes
+                    # "clip" gathers into message directly; no index is out of range.
+                    np.take(alpha * means, plan.index, out=message, mode="clip")
+                    row += message
+                    kept[...] = row  # this stage's output, in the input dtype
+                out[c] = kept.reshape(x.shape[1:])
+    except FloatingPointError:
+        raise ValueError(
+            f"message passing overflows the {x.dtype} output: "
+            "features + alpha * block mean exceed its range"
+        ) from None
+    return out
 
 
 def message_pass(
@@ -134,21 +164,7 @@ def message_pass(
     the partition's cached plan. A result beyond the output dtype's
     range raises ``ValueError``.
     """
-    x = _check_pair(features, partition)
-    _check_alpha(alpha)
-    out = np.empty_like(x)
-    idx = partition._plan.index
-    try:
-        with np.errstate(over="raise"):
-            for c, row, m in _channel_means(x, partition):
-                row += np.take(alpha * m, idx)
-                out[c] = row.reshape(x.shape[1:])
-    except FloatingPointError:
-        raise ValueError(
-            f"message passing overflows the {x.dtype} output: "
-            "features + alpha * block mean exceed its range"
-        ) from None
-    return out
+    return _stages(features, [partition], alpha)
 
 
 def message_pass_grad(
@@ -239,10 +255,7 @@ def cascade_apply(
     """
     if not partitions:
         raise ValueError("partitions must be nonempty")
-    x = np.asarray(features)
-    for part in partitions:
-        x = message_pass(x, part, alpha)
-    return x
+    return _stages(features, partitions, alpha)
 
 
 @dataclass(frozen=True)
@@ -288,8 +301,8 @@ def cascade_forward(
     """Multiscale pass: one superpixel scale per stage, small scale first.
 
     Superpixels are generated per scale from the full-resolution image,
-    reduced to feature resolution by majority vote, and applied to the
-    running tensor. With Quick Shift, the scales share one sigma sweep:
+    reduced to feature resolution by majority vote, and then applied as
+    one cascade. With Quick Shift, the scales share one sigma sweep:
     each distinct sigma is segmented once per call. Returns the final
     tensor and the trace of feature-resolution partitions actually used.
     """
@@ -301,7 +314,7 @@ def cascade_forward(
             f"feature map {x.shape[1:]} exceeds image resolution {img.shape[:2]}"
         )
     lab = srgb_to_lab(img)
-    stages = []
+    parts = []
     memo: dict[float, SuperpixelPartition] = {}  # Quick Shift sigma -> partition
     for scale in config.scales:
         if isinstance(config.segmenter, SlicParams):
@@ -309,10 +322,9 @@ def cascade_forward(
             part_full = slic_segment(lab, spec)
         else:
             part_full = quickshift_match_scale(lab, config.segmenter, scale, memo=memo)
-        part = downsample_partition(part_full, h_f, w_f)
-        x = message_pass(x, part, config.alpha)
-        stages.append((scale, part))
-    return x, CascadeTrace(stages=tuple(stages))
+        parts.append(downsample_partition(part_full, h_f, w_f))
+    trace = CascadeTrace(stages=tuple(zip(config.scales, parts)))
+    return _stages(x, parts, config.alpha), trace
 
 
 def cascade_backward(
@@ -323,10 +335,7 @@ def cascade_backward(
     Each stage is self-adjoint, so the chain rule reduces to applying
     the stages to the upstream gradient in reverse order.
     """
-    g = np.asarray(grad_output)
-    for _, part in reversed(trace.stages):
-        g = message_pass_grad(g, part, alpha)
-    return g
+    return _stages(grad_output, [part for _, part in reversed(trace.stages)], alpha)
 
 
 def refine_probabilities(

@@ -18,3 +18,11 @@ def test_workflow_runs_the_documented_tier1_command():
     runs = [step.get("run") for step in job["steps"]]
     assert 'python -m pip install -e ".[test]"' in runs
     assert documented in runs
+
+
+def test_yaml_is_in_the_test_extra():
+    # Without PyYAML the workflow check above skips inside the very
+    # workflow it checks.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    extra = re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1)
+    assert re.search(r'"pyyaml\b', extra, re.I)

@@ -590,13 +590,19 @@ class TestGradcheck:
 
 
 def test_module_invocation_smoke():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # pytest's pythonpath setting reaches only this process, not the child.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "spxkit", "gradcheck", "--channels", "1",
          "--height", "4", "--width", "4", "--blocks", "2", "--seed", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True

@@ -394,10 +394,20 @@ class TestCascade:
         with pytest.raises(ValueError, match="stages must be nonempty"):
             CascadeTrace(stages=())
 
+    def test_errors_come_in_channel_order(self):
+        # Channel 0 overflows float32 only at the second stage; channel 1
+        # holds a NaN. A cascade runs every stage of channel 0 first.
+        x = np.full((2, 2, 2), 2e38, dtype=np.float32)
+        x[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="overflows the float32 output"):
+            cascade_apply(x, [ONE_BLOCK, ONE_BLOCK], 0.5)
+        with pytest.raises(ValueError, match="must be finite"):
+            message_pass(x, ONE_BLOCK, 0.5)
+
     def test_each_partition_builds_its_plan_once(self, monkeypatch):
         # A forward and a backward pass over three stages use each
-        # partition twice and build its plan once; message_pass stays the
-        # module-global entry point of every stage.
+        # partition twice and build its plan once; each runs as one call
+        # of the stage kernel, with the stages in order and then reversed.
         build = SuperpixelPartition._plan.func
         built = []
 
@@ -408,20 +418,20 @@ class TestCascade:
         plan = functools.cached_property(counting_build)
         plan.__set_name__(SuperpixelPartition, "_plan")
         monkeypatch.setattr(SuperpixelPartition, "_plan", plan)
-        passes = []
-        real_pass = msgpass_module.message_pass
+        calls = []
+        real_stages = msgpass_module._stages
 
-        def counting_pass(features, partition, alpha):
-            passes.append(partition)
-            return real_pass(features, partition, alpha)
+        def recording_stages(features, partitions, alpha):
+            calls.append([id(p) for p in partitions])
+            return real_stages(features, partitions, alpha)
 
-        monkeypatch.setattr(msgpass_module, "message_pass", counting_pass)
+        monkeypatch.setattr(msgpass_module, "_stages", recording_stages)
         rng = np.random.default_rng(13)
         parts = [random_partition(12, 12, k, rng) for k in (3, 6, 9)]
         x, g = rng.normal(size=(2, 3, 12, 12))
         cascade_apply(x, parts, 0.1)
         cascade_backward(g, CascadeTrace(stages=tuple(zip((3, 6, 9), parts))), 0.1)
-        assert [id(p) for p in passes] == [id(p) for p in parts + parts[::-1]]
+        assert calls == [[id(p) for p in parts], [id(p) for p in parts[::-1]]]
         assert [id(p) for p in built] == [id(p) for p in parts]
 
 
