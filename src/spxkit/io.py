@@ -192,11 +192,12 @@ def read_mspt(path: str) -> np.ndarray:
 
 
 def write_mspt(tensor: np.ndarray, path: str) -> None:
-    """Write a float32 or uint32 array as an MSPT file."""
+    """Write a float32 or uint32 array, in either byte order, as an MSPT file."""
     arr = np.ascontiguousarray(tensor)
-    if arr.dtype == np.float32:
+    kind = (arr.dtype.kind, arr.dtype.itemsize)  # the same for either byte order
+    if kind == ("f", 4):
         code = 0
-    elif arr.dtype == np.uint32:
+    elif kind == ("u", 4):
         code = 1
     else:
         raise ValueError(

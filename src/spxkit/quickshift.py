@@ -20,10 +20,10 @@ segments the rest of its ladder in one walk.
 Links are searched nearest-first. A squared 5-D distance is at least
 the squared spatial one, dy^2 + dx^2, so after the 8 nearest offsets a
 pixel whose best distance is below 2 pixels is settled; only the rest
-see the farther offsets, gathered. Where most pixels stay open, as on
-noisy images, a sigma walks all its link offsets row by row instead.
-Offsets beyond tau are never searched. Either way the links are those
-of a full search.
+are linked afresh over every link offset, gathered. Where most pixels
+stay open, as on noisy images, a sigma walks all its link offsets row
+by row instead. Offsets beyond tau are never searched. Either way the
+links are those of a full search.
 """
 
 from __future__ import annotations
@@ -86,29 +86,10 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be > 0 with 1 / (2 sigma^2) finite, got {sigma}")
 
 
-def _offset_slices(h: int, w: int, dy: int, dx: int):
-    """Slices (a, b) so that b is a shifted by (dy, dx), both in bounds."""
-    ay0, ay1 = max(0, -dy), h - max(0, dy)
-    ax0, ax1 = max(0, -dx), w - max(0, dx)
-    a = (slice(ay0, ay1), slice(ax0, ax1))
-    b = (slice(ay0 + dy, ay1 + dy), slice(ax0 + dx, ax1 + dx))
-    return a, b
-
-
-def _runs(w: int, a, dy: int, dx: int) -> tuple[slice, slice]:
-    """The whole rows of ``a``, and the (dy, dx) neighbours of their
-    pixels, as two runs of the padded layout (see ``_segment_sigmas``)."""
-    start, stop = (a[0].start + 1) * w, (a[0].stop + 1) * w
-    step = dy * w + dx
-    return slice(start, stop), slice(start + step, stop + step)
-
-
-def _sq_dist(
-    planes: np.ndarray, w: int, a, dy: int, dx: int, scratch: np.ndarray
-) -> np.ndarray:
-    """Squared 5-D feature distance from each pixel in the whole rows
-    of ``a`` to its (dy, dx) neighbour, +inf in the columns outside
-    ``a``, in the first row of ``scratch``.
+def _sq_dist(planes: np.ndarray, w: int, offset, scratch: np.ndarray) -> np.ndarray:
+    """Squared 5-D feature distance from each pixel of the run of
+    ``offset`` (an entry of ``_window``) to its neighbour, +inf in the
+    columns outside x0:x1, in the first row of ``scratch``.
 
     ``planes`` holds the three scaled Lab planes in the padded layout,
     shape (3, (H + 2) * W); ``scratch`` has shape (3, H*W), and its
@@ -118,9 +99,8 @@ def _sq_dist(
     ``ndarray.sum(axis=2)`` reduces a stacked (H, W, 5) feature array,
     so the sums are the same floats.
     """
-    run, nbr = _runs(w, a, dy, dx)
-    n = run.stop - run.start
-    diff = scratch[:3, :n]
+    dy, dx, x0, x1, run, nbr, _ = offset
+    diff = scratch[:3, :run.stop - run.start]
     np.subtract(planes[:, nbr], planes[:, run], out=diff)
     diff *= diff
     d2 = np.add(diff[0], diff[1], out=diff[0])
@@ -128,24 +108,31 @@ def _sq_dist(
     d2 += dx * dx
     d2 += dy * dy
     by_row = d2.reshape(-1, w)
-    by_row[:, :a[1].start] = np.inf  # these columns wrapped to another row
-    by_row[:, a[1].stop:] = np.inf
+    by_row[:, :x0] = np.inf  # these columns wrapped to another row
+    by_row[:, x1:] = np.inf
     return d2
 
 
 def _window(h: int, w: int, radii: list[int]) -> list:
     """The offsets (dy, dx) within the largest of ``radii`` that overlap
-    an H x W image, in row-major order, each as (dy, dx, a, its runs,
-    the indices of the radii that hold it)."""
+    an H x W image, in row-major order, each as (dy, dx, x0, x1, run,
+    nbr, held). Columns x0:x1 hold the pixels whose (dy, dx) neighbour
+    is in the image; ``run`` is the whole rows those pixels span and
+    ``nbr`` their neighbours, as two runs of the padded layout (see
+    ``_parents``); ``held`` lists the indices of the radii that hold
+    the offset."""
     radius = max(radii)
     window = []
     for dy in range(-radius, radius + 1):
+        y0, y1 = max(0, -dy), h - max(0, dy)
         for dx in range(-radius, radius + 1):
-            a, _ = _offset_slices(h, w, dy, dx)
-            if a[0].start < a[0].stop and a[1].start < a[1].stop:
-                reach = max(abs(dy), abs(dx))
-                held = [k for k, r in enumerate(radii) if reach <= r]
-                window.append((dy, dx, a, *_runs(w, a, dy, dx), held))
+            x0, x1 = max(0, -dx), w - max(0, dx)
+            if y0 < y1 and x0 < x1:
+                run = slice((y0 + 1) * w, (y1 + 1) * w)
+                step = dy * w + dx
+                nbr = slice(run.start + step, run.stop + step)
+                held = [k for k, r in enumerate(radii) if max(abs(dy), abs(dx)) <= r]
+                window.append((dy, dx, x0, x1, run, nbr, held))
     return window
 
 
@@ -158,11 +145,12 @@ def _link_walk(
     neighbour has higher density replaces the link when its d2 is
     strictly below the best so far. A pixel's best starts just above
     tau^2 (see ``_parents``), so no link is longer than tau."""
-    for dy, dx, a, run, nbr, held in offsets:
+    for offset in offsets:
+        dy, dx, _, _, run, nbr, held = offset
         here = [k for k in held if k in ks]
         if not here:
             continue
-        d2 = _sq_dist(planes, w, a, dy, dx, scratch)
+        d2 = _sq_dist(planes, w, offset, scratch)
         # |dx| < w on an overlapping offset, so dy*w + dx is the index step.
         ties_up = dy * w + dx < 0
         for k in here:
@@ -177,25 +165,26 @@ def _link_walk(
 
 
 def _link_gather(
-    planes: np.ndarray, h: int, w: int, far: list, jobs: list,
+    planes: np.ndarray, h: int, w: int, links: list, jobs: list,
     density: list, best_d2: list, parent: list, unlinked: float,
 ) -> None:
-    """For each (sigma index k, flat pixel indices) of ``jobs``, offer
-    those pixels every offset of ``far`` (entries of ``_window``) that
-    sigma k's window holds, gathered.
+    """For each (sigma index k, flat pixel indices) of ``jobs``, link
+    those pixels afresh over every offset of ``links`` (entries of
+    ``_window``) that sigma k's window holds, gathered.
 
     A pixel takes its lexicographically least (d2, index step) eligible
-    candidate when that beats its current link by the same order, so
-    the result does not depend on the order in which candidates arrive.
-    ``unlinked`` is the best d2 of a pixel with no link, the float just
-    above tau^2: a candidate must be below it.
+    candidate, or no link when it has none; its link and best d2 before
+    the call are not read. ``unlinked`` is the best d2 of a pixel with
+    no link, the float just above tau^2: a candidate must be below it.
     The gather reads copies of the planes and of each density, padded
     by the offsets' reach, where a neighbour outside the image has
-    density -inf and so never ranks higher. Scratch arrays hold at
-    most H*W/4 (pixel, offset) pairs.
+    density -inf and so never ranks higher. A chunk of
+    max(1, H*W/4 // offsets) pixels meets every offset at once, so
+    scratch arrays hold at most max(H*W/4, offsets) (pixel, offset)
+    pairs; fewer than 4*H*W offsets overlap the image.
     """
-    ry = max(abs(o[0]) for o in far)
-    rx = max(abs(o[1]) for o in far)
+    ry = max(abs(o[0]) for o in links)
+    rx = max(abs(o[1]) for o in links)
     w2 = w + 2 * rx
     inner = (slice(ry, ry + h), slice(rx, rx + w))
     planes2 = np.zeros((3, h + 2 * ry, w2))
@@ -203,55 +192,46 @@ def _link_gather(
     planes2 = planes2.reshape(3, -1)
     dens2 = np.full((h + 2 * ry, w2), -np.inf)
     dens = dens2.reshape(-1)
-    pairs = max(1, h * w // 4)
 
     for k, pixels in jobs:
-        offsets = [o for o in far if k in o[-1]]
+        offsets = [o for o in links if k in o[-1]]
         dens2[inner] = density[k][w:-w].reshape(h, w)
-        best, links = best_d2[k][w:-w], parent[k][w:-w]
+        best, link = best_d2[k][w:-w], parent[k][w:-w]
         dys = np.array([o[0] for o in offsets])
         dxs = np.array([o[1] for o in offsets])
         steps = dys * w + dxs
         steps2 = dys * w2 + dxs
         dxx, dyy = (dxs * dxs).astype(np.float64), (dys * dys).astype(np.float64)
-        neg = int(np.count_nonzero(steps < 0))  # row-major: these come first
+        split = int(np.count_nonzero(steps < 0))  # row-major: these come first
         ys, xs = np.divmod(pixels, w)
         at = (ys + ry) * w2 + (xs + rx)  # each pixel's position in the gather layout
 
-        m = min(len(offsets), pairs)
-        n = max(1, pairs // m)
-        for o0 in range(0, len(offsets), m):
-            cols = slice(o0, o0 + m)
-            split = min(max(neg - o0, 0), m)
-            for p0 in range(0, pixels.size, n):
-                pix, q = pixels[p0:p0 + n], at[p0:p0 + n, None]
-                nb = q + steps2[cols]
-                dq, dn = dens[q], dens[nb]
-                lower = np.empty(dn.shape, dtype=bool)  # fails the density rule
-                np.less(dn[:, :split], dq, out=lower[:, :split])
-                np.less_equal(dn[:, split:], dq, out=lower[:, split:])
-                d2 = planes2[0][nb]  # summed as in _sq_dist, so the same floats
-                d2 -= planes2[0][q]
-                d2 *= d2
-                for c in (1, 2):
-                    t = planes2[c][nb]
-                    t -= planes2[c][q]
-                    t *= t
-                    d2 += t
-                d2 += dxx[cols]
-                d2 += dyy[cols]
-                np.copyto(d2, np.inf, where=lower)
-                # The least d2 of a higher neighbour is eligible if it is
-                # at most tau^2; if it is not, no candidate of this pixel is.
-                j = d2.argmin(axis=1)  # the first: ties go to the smaller step
-                got = d2[np.arange(j.size), j]
-                step = steps[cols][j]
-                cur = best[pix]
-                take = (got < cur) | ((got == cur) & (step < links[pix] - pix))
-                take &= got < unlinked
-                won = pix[take]
-                best[won] = got[take]
-                links[won] = won + step[take]
+        n = max(1, h * w // 4 // len(offsets))
+        for p0 in range(0, pixels.size, n):
+            pix, q = pixels[p0:p0 + n], at[p0:p0 + n, None]
+            nb = q + steps2
+            dq, dn = dens[q], dens[nb]
+            lower = np.empty(dn.shape, dtype=bool)  # fails the density rule
+            np.less(dn[:, :split], dq, out=lower[:, :split])
+            np.less_equal(dn[:, split:], dq, out=lower[:, split:])
+            d2 = planes2[0][nb]  # summed as in _sq_dist, so the same floats
+            d2 -= planes2[0][q]
+            d2 *= d2
+            for c in (1, 2):
+                t = planes2[c][nb]
+                t -= planes2[c][q]
+                t *= t
+                d2 += t
+            d2 += dxx
+            d2 += dyy
+            np.copyto(d2, np.inf, where=lower)
+            # The least d2 of a higher neighbour is eligible if it is
+            # at most tau^2; if it is not, no candidate of this pixel is.
+            j = d2.argmin(axis=1)  # the first: ties go to the smaller step
+            got = d2[np.arange(j.size), j]
+            take = got < unlinked
+            best[pix] = np.where(take, got, unlinked)
+            link[pix] = np.where(take, pix + steps[j], pix)
 
 
 def _parents(
@@ -272,8 +252,8 @@ def _parents(
     Links are searched nearest-first: every pixel first takes the 8
     offsets with dy^2 + dx^2 <= 2. Every other offset has d2 >= 4 (see
     below), so a pixel whose best d2 is below 4 is settled, and only the
-    open rest see the other link offsets of their sigma, gathered
-    (``_link_gather``). Where more than ``_DENSE_OPEN`` of a sigma's
+    open rest are linked afresh over every link offset of their sigma,
+    gathered (``_link_gather``). Where more than ``_DENSE_OPEN`` of a sigma's
     pixels stay open, that sigma starts over with the row-major walk
     over all its link offsets (``_link_walk``), which the sigmas taking
     it share. Each sigma costs three H*W arrays: density, link distance
@@ -281,7 +261,7 @@ def _parents(
 
     Per-pixel arrays use a padded layout: flat, row-major, with one row
     before the image and one after. The whole rows an offset's pixels
-    span, and their neighbours, are then two runs (``_runs``), so every
+    span, and their neighbours, are then two runs (``_window``), so every
     step works on one contiguous run. The columns a shift wraps into
     another row get d2 = +inf: they add exp(-inf) = 0 to a density,
     which leaves it unchanged, and never link.
@@ -300,9 +280,10 @@ def _parents(
     # A tiny sigma can overflow d2 * (-1 / (2 sigma^2)) to -inf, and
     # exp(-inf) = 0 is the weight wanted for so distant a neighbour.
     with np.errstate(over="ignore"):
-        for dy, dx, a, run, _, held in window:
-            d2 = _sq_dist(planes, w, a, dy, dx, scratch)
+        for offset in window:
+            d2 = _sq_dist(planes, w, offset, scratch)
             term = scratch[1, :d2.size]
+            run, held = offset[4], offset[-1]
             for k in held:
                 np.multiply(d2, neg_inv_two_sigma2[k], out=term)
                 density[k][run] += np.exp(term, out=term)
@@ -318,22 +299,21 @@ def _parents(
     # beyond tau links, and none with dx*dx + dy*dy above a pixel's best
     # d2 can beat it.
     links = [o for o in window if 0 < o[0] ** 2 + o[1] ** 2 <= tau2]
-    nearest = [o for o in links if o[0] ** 2 + o[1] ** 2 <= 2]
-    far = [o for o in links if o[0] ** 2 + o[1] ** 2 > 2]  # so each is >= 4
+    nearest = [o for o in links if o[0] ** 2 + o[1] ** 2 <= 2]  # the rest are >= 4
     every = range(len(sigmas))
     _link_walk(planes, w, nearest, every, density, best_d2, parent, idx, scratch)
     jobs, dense = [], []
     for k in every:
         is_open = best_d2[k][w:-w] >= 4.0
         n_open = np.count_nonzero(is_open)
-        if not n_open or not any(k in o[-1] for o in far):
-            continue
+        if not n_open or all(o in nearest for o in links if k in o[-1]):
+            continue  # settled, or no link offset of sigma k is past the 8 nearest
         if n_open > _DENSE_OPEN * h * w:
             dense.append(k)
         else:
             jobs.append((k, np.flatnonzero(is_open)))
     if jobs:
-        _link_gather(planes, h, w, far, jobs, density, best_d2, parent, unlinked)
+        _link_gather(planes, h, w, links, jobs, density, best_d2, parent, unlinked)
     for k in dense:
         best_d2[k].fill(unlinked)
         parent[k][:] = idx

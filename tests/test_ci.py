@@ -20,6 +20,14 @@ def test_workflow_runs_the_documented_tier1_command():
     assert documented in runs
 
 
+def test_tests_job_has_a_timeout():
+    # A hung run (say, a hypothesis search that never ends) would
+    # otherwise hold a runner for GitHub's 6 h default.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
+    assert 0 < workflow["jobs"]["tests"]["timeout-minutes"] <= 60
+
+
 def test_yaml_is_in_the_test_extra():
     # Without PyYAML the workflow check above skips inside the very
     # workflow it checks.

@@ -179,6 +179,18 @@ class TestMspt:
         part = relabel_contiguous(back.astype(np.int64))
         assert validate_partition(part).ok
 
+    @pytest.mark.parametrize("dtype", [">f4", ">u4"])
+    def test_big_endian_round_trip(self, tmp_path, dtype):
+        arr = np.arange(6, dtype=dtype).reshape(2, 3)
+        path = tmp_path / "be.mspt"
+        write_mspt(arr, str(path))
+        back = read_mspt(str(path))
+        assert back.dtype == arr.dtype.newbyteorder("<")
+        assert np.array_equal(back, arr)
+        native = tmp_path / "le.mspt"
+        write_mspt(arr.astype(back.dtype), str(native))
+        assert path.read_bytes() == native.read_bytes()
+
     def test_bad_magic_named(self, tmp_path):
         path = tmp_path / "bad.mspt"
         path.write_bytes(b"XSPT" + MSPT_SCALAR_ZERO[4:])

@@ -35,9 +35,57 @@ from spxkit import (
     srgb_to_lab,
 )
 from spxkit.core import SuperpixelPartition, check_lab_image, relabel_contiguous
-from spxkit.quickshift import _offset_slices, _runs, _sq_dist
 
 qs_module = importlib.import_module("spxkit.quickshift")
+
+
+# Slicing and distance helpers of the oracles below, kept apart from
+# the library's own so that the oracles do not run on the code they check.
+def _offset_slices(h: int, w: int, dy: int, dx: int):
+    """Slices (a, b) so that b is a shifted by (dy, dx), both in bounds."""
+    ay0, ay1 = max(0, -dy), h - max(0, dy)
+    ax0, ax1 = max(0, -dx), w - max(0, dx)
+    a = (slice(ay0, ay1), slice(ax0, ax1))
+    b = (slice(ay0 + dy, ay1 + dy), slice(ax0 + dx, ax1 + dx))
+    return a, b
+
+
+def _runs(w: int, a, dy: int, dx: int) -> tuple[slice, slice]:
+    """The whole rows of ``a``, and the (dy, dx) neighbours of their
+    pixels, as two runs of the padded layout (see ``_segment_sigmas``)."""
+    start, stop = (a[0].start + 1) * w, (a[0].stop + 1) * w
+    step = dy * w + dx
+    return slice(start, stop), slice(start + step, stop + step)
+
+
+def _sq_dist(
+    planes: np.ndarray, w: int, a, dy: int, dx: int, scratch: np.ndarray
+) -> np.ndarray:
+    """Squared 5-D feature distance from each pixel in the whole rows
+    of ``a`` to its (dy, dx) neighbour, +inf in the columns outside
+    ``a``, in the first row of ``scratch``.
+
+    ``planes`` holds the three scaled Lab planes in the padded layout,
+    shape (3, (H + 2) * W); ``scratch`` has shape (3, H*W), and its
+    other two rows are free once this returns. The x/y differences are
+    exactly dx and dy, so their squares are added as scalars. Terms are
+    summed in the order L, a, b, x, y: the order in which
+    ``ndarray.sum(axis=2)`` reduces a stacked (H, W, 5) feature array,
+    so the sums are the same floats.
+    """
+    run, nbr = _runs(w, a, dy, dx)
+    n = run.stop - run.start
+    diff = scratch[:3, :n]
+    np.subtract(planes[:, nbr], planes[:, run], out=diff)
+    diff *= diff
+    d2 = np.add(diff[0], diff[1], out=diff[0])
+    d2 += diff[2]
+    d2 += dx * dx
+    d2 += dy * dy
+    by_row = d2.reshape(-1, w)
+    by_row[:, :a[1].start] = np.inf  # these columns wrapped to another row
+    by_row[:, a[1].stop:] = np.inf
+    return d2
 
 
 def _features(lab: np.ndarray, color_ratio: float) -> np.ndarray:
@@ -318,9 +366,9 @@ def test_cascade_walks_the_window_twice(monkeypatch):
     measured = []  # the (dy, dx) of every distance computed
     sq_dist = qs_module._sq_dist
 
-    def counting(planes, w, a, dy, dx, scratch):
-        measured.append((dy, dx))
-        return sq_dist(planes, w, a, dy, dx, scratch)
+    def counting(planes, w, offset, scratch):
+        measured.append(offset[:2])
+        return sq_dist(planes, w, offset, scratch)
 
     monkeypatch.setattr(qs_module, "_sq_dist", counting)
     config = MspConfig(scales=SCALES, segmenter=QuickShiftParams())
@@ -435,13 +483,15 @@ def test_window_is_capped_by_the_image(monkeypatch):
 
     bound = (2 * 7 + 1) ** 2  # one walk over |dy|, |dx| <= 7
     calls = []
+    window = qs_module._window
 
-    def counting(h, w, dy, dx):
-        calls.append((dy, dx))
+    def counting(h, w, radii):
+        entries = window(h, w, radii)
+        calls.extend(o[:2] for o in entries)
         assert len(calls) <= bound, "window offsets not capped by the image"
-        return _offset_slices(h, w, dy, dx)
+        return entries
 
-    monkeypatch.setattr(qs_module, "_offset_slices", counting)
+    monkeypatch.setattr(qs_module, "_window", counting)
     quickshift_segment(lab, quiet_params(sigma=1e4, tau=12.0))
     assert 0 < len(calls) <= bound
     assert max(max(abs(dy), abs(dx)) for dy, dx in calls) == 7
@@ -451,12 +501,14 @@ def test_each_window_offset_is_sliced_once(monkeypatch):
     rng = np.random.default_rng(6)
     lab = srgb_to_lab(rng.integers(0, 256, (9, 7, 3)).astype(np.uint8))
     calls = []
+    window = qs_module._window
 
-    def counting(h, w, dy, dx):
-        calls.append((dy, dx))
-        return _offset_slices(h, w, dy, dx)
+    def counting(h, w, radii):
+        entries = window(h, w, radii)
+        calls.extend(o[:2] for o in entries)
+        return entries
 
-    monkeypatch.setattr(qs_module, "_offset_slices", counting)
+    monkeypatch.setattr(qs_module, "_window", counting)
     # Radius 3 and tau = inf: all 49 offsets overlap the image, and the
     # density and link passes both use every one of them.
     params = QuickShiftParams(sigma=1.0, tau=math.inf)
@@ -570,9 +622,68 @@ def test_gather_agrees_with_walk_on_tied_densities():
         walk(planes, w, nearest, [0], density, got_best, got_parent, idx, scratch)
         pixels = np.flatnonzero(got_best[0][w:-w] >= 4.0)
         if far and pixels.size:
-            gather(planes, h, w, far, [(0, pixels)], density, got_best, got_parent, unlinked)
+            gather(planes, h, w, links, [(0, pixels)], density, got_best, got_parent, unlinked)
         assert np.array_equal(got_parent[0], parent[0]), seed
         assert np.array_equal(got_best[0], best[0]), seed
+
+
+def test_gather_links_open_pixels_afresh():
+    # The gather must not read what a job pixel held before: with a
+    # stale best d2 of 0 and a link to pixel 0 in every job pixel, it
+    # still gives what the row-major walk over every link offset gives.
+    walk, gather = qs_module._link_walk, qs_module._link_gather
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(2, 9, 2))
+        size = (h + 2) * w
+        planes = np.zeros((3, size))
+        planes[:, w:-w] = rng.integers(0, 3, (3, h * w))
+        density = [np.zeros(size)]
+        density[0][w:-w] = rng.integers(1, 3, h * w)
+        window = qs_module._window(h, w, [int(rng.integers(1, max(h, w)))])
+        tau2 = float(rng.choice([2.0, 4.0, 9.0, 25.0, math.inf]))
+        links = [o for o in window if 0 < o[0] ** 2 + o[1] ** 2 <= tau2]
+        idx = np.arange(-w, size - w)
+        unlinked = float(np.nextafter(tau2, np.inf))
+        best, parent = [np.full(size, unlinked)], [idx.copy()]
+        walk(planes, w, links, [0], density, best, parent, idx, np.empty((3, h * w)))
+        pixels = np.flatnonzero(rng.random(h * w) < 0.5)
+        got_best, got_parent = [best[0].copy()], [parent[0].copy()]
+        got_best[0][w + pixels] = 0.0
+        got_parent[0][w + pixels] = 0
+        gather(planes, h, w, links, [(0, pixels)], density, got_best, got_parent, unlinked)
+        assert np.array_equal(got_parent[0], parent[0]), seed
+        assert np.array_equal(got_best[0], best[0]), seed
+
+
+def test_gather_scratch_is_bounded_with_more_offsets_than_pixels(monkeypatch):
+    # A clean 24^2 scene at sigma 8, tau 30: its window (radius 23, the
+    # image's cap) holds far more link offsets than H*W/4 = 144. A chunk
+    # then holds one pixel, so the gather's scratch is one row of
+    # (pixel, offset) pairs and a few arrays over the offsets, beside
+    # its padded copies of the planes and of one density.
+    lab = srgb_to_lab(clean_scene())
+    h, w = lab.shape[:2]
+    params = QuickShiftParams(sigma=8.0, tau=30.0)
+    links = sum(0 < dy * dy + dx * dx <= 900 for dy in range(-23, 24) for dx in range(-23, 24))
+    assert links > h * w // 4
+    peaks, gather = [], qs_module._link_gather
+
+    def traced_gather(*args):
+        tracemalloc.start()
+        try:
+            gather(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(qs_module, "_link_gather", traced_gather)
+    with mock.patch.object(qs_module, "_DENSE_OPEN", 1.0):  # always gather
+        part = quickshift_segment(lab, params)
+    assert np.array_equal(part.labels, oracle_quickshift_segment(lab, params).labels)
+    (peak,) = peaks
+    padded = (h + 2 * 23) * (w + 2 * 23)  # the planes and density copies
+    assert peak <= 128 * max(h * w // 4, links) + 4 * 8 * padded, f"{peak} B"
 
 
 @pytest.mark.parametrize("shape", [(1, 9, 3), (9, 1, 3)])
@@ -604,9 +715,9 @@ def test_clean_scenes_gather_and_noise_walks(monkeypatch, scene, path):
     gathered, walked = [], []  # the sigma indices each path links
     gather, walk = qs_module._link_gather, qs_module._link_walk
 
-    def counting_gather(planes, h, w, far, jobs, *rest):
+    def counting_gather(planes, h, w, links, jobs, *rest):
         gathered.extend(k for k, _ in jobs)
-        return gather(planes, h, w, far, jobs, *rest)
+        return gather(planes, h, w, links, jobs, *rest)
 
     def counting_walk(planes, w, offsets, ks, *rest):
         walked.append((len(offsets), list(ks)))
