@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "AlgorithmError",
@@ -32,7 +34,8 @@ class _BlockPlan(NamedTuple):
     ``index`` is the row-major label map as intp, ready for ``np.take``;
     ``members`` is the K x H*W CSR membership matrix (data 1.0, each row
     holding its block's pixels in ascending order); ``sizes`` is the
-    census as float64.
+    census as float64. scipy.sparse loads when the first plan is built,
+    not when spxkit is imported.
     """
 
     index: np.ndarray
@@ -50,9 +53,11 @@ class SuperpixelPartition:
     ``num_blocks`` its length. Message passing also caches a private
     plan on first use: the labels as intp and a CSR block-membership
     matrix, about 20 bytes per pixel (8 for the index, 4 for the column
-    indices, 8 for the ones). Instances are immutable and safe to share
-    across threads (computing the census or the plan twice gives equal
-    arrays, and either copy may be kept).
+    indices, 8 for the ones). scipy.sparse loads at the first plan
+    build, so a run that never passes messages never imports it.
+    Instances are immutable and safe to share across threads (computing
+    the census or the plan twice gives equal arrays, and either copy may
+    be kept).
     """
 
     labels: np.ndarray  # (H, W) int32
@@ -67,6 +72,8 @@ class SuperpixelPartition:
 
     @cached_property
     def _plan(self) -> _BlockPlan:
+        import scipy.sparse as sp
+
         # A stable sort's permutation is unique, so sorting the labels in
         # the narrowest unsigned dtype that holds them gives the same
         # member order; up to 65,536 blocks numpy radix-sorts them.

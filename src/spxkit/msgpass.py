@@ -179,6 +179,13 @@ def message_pass_grad(
     return message_pass(grad_output, partition, alpha)
 
 
+def _require_integers(**counts: int) -> None:
+    """Refuse a non-integer count (even 2.0) with a ValueError naming it."""
+    for name, value in counts.items():
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def downsample_partition(
     partition: SuperpixelPartition, target_height: int, target_width: int
 ) -> SuperpixelPartition:
@@ -190,9 +197,7 @@ def downsample_partition(
     contiguous relabel.
     """
     h_src, w_src = partition.labels.shape
-    for name, dim in (("target_height", target_height), ("target_width", target_width)):
-        if not isinstance(dim, Integral):
-            raise ValueError(f"{name} must be an integer, got {dim!r}")
+    _require_integers(target_height=target_height, target_width=target_width)
     target_height, target_width = int(target_height), int(target_width)
     if not (1 <= target_height <= h_src and 1 <= target_width <= w_src):
         raise ValueError(
@@ -371,6 +376,7 @@ def random_partition(
 ) -> SuperpixelPartition:
     """Seeded Voronoi partition: ``blocks`` distinct seed pixels, each
     pixel labeled by its nearest seed (ties: lowest seed index)."""
+    _require_integers(height=height, width=width, blocks=blocks)
     n = height * width
     if not 1 <= blocks <= n:
         raise ValueError(f"blocks must be in [1, {n}], got {blocks}")
@@ -414,6 +420,9 @@ def gradient_check(
     Returns {"max_rel_err", "adjoint_err", "pass"}; pass requires
     max_rel_err <= 1e-4 and adjoint_err <= 1e-6.
     """
+    _require_integers(
+        channels=channels, height=height, width=width, blocks=blocks, stages=stages
+    )
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
     if not 1 <= blocks <= height * width:

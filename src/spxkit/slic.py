@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy import ndimage as ndi
 
 from .core import SuperpixelPartition, check_lab_image, check_label_map, relabel_contiguous
 
@@ -268,7 +267,10 @@ def _components_first_appearance(labels: np.ndarray) -> tuple[np.ndarray, int]:
     4-connected components of the grid are those of the label map. The
     first node of each grid component in raster order is a pixel, so
     ``ndi.label``'s ids already follow row-major first appearance.
+    scipy.ndimage loads at the first call, not when spxkit is imported.
     """
+    from scipy import ndimage as ndi
+
     h, w = labels.shape
     grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
     grid[::2, ::2] = True

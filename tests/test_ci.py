@@ -20,6 +20,21 @@ def test_workflow_runs_the_documented_tier1_command():
     assert documented in runs
 
 
+def test_versions_are_printed_before_the_tests():
+    # Outputs are bit-exact per numpy version, so a digest failure in CI
+    # cannot be read without the versions that produced it.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
+    runs = [step.get("run") or "" for step in workflow["jobs"]["tests"]["steps"]]
+    install = runs.index('python -m pip install -e ".[test]"')
+    tests = next(i for i, run in enumerate(runs) if "pytest" in run)
+    printers = [
+        i for i, run in enumerate(runs)
+        if "numpy.__version__" in run and "scipy.__version__" in run
+    ]
+    assert printers and install < printers[0] < tests
+
+
 def test_tests_job_has_a_timeout():
     # A hung run (say, a hypothesis search that never ends) would
     # otherwise hold a runner for GitHub's 6 h default.

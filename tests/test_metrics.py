@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spxkit import (
     boundary_fscore,
@@ -45,6 +48,17 @@ class TestConfusionMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             confusion_matrix(np.zeros((2, 2), int), np.zeros((2, 3), int), 2)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2", None])
+    def test_non_integer_class_count_rejected(self, n):
+        with pytest.raises(ValueError, match="num_classes"):
+            confusion_matrix(PRED_14, GT_14, n)
+        with pytest.raises(ValueError, match="num_classes"):
+            evaluate_segmentation(PRED_14, GT_14, n)
+
+    def test_numpy_integer_class_count_accepted(self):
+        cm = confusion_matrix(PRED_14, GT_14, np.int64(2))
+        assert np.array_equal(cm, confusion_matrix(PRED_14, GT_14, 2))
 
     @pytest.mark.parametrize(
         "score",
@@ -298,3 +312,23 @@ class TestToleranceMustBeIntegral:
     @pytest.mark.parametrize("tol", [np.int64(1), np.uint8(1), np.int32(0), True])
     def test_numpy_and_python_integers_score_alike(self, tol):
         assert self.scores(tol) == self.scores(int(tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mask=st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+        lambda shape: arrays(bool, shape)
+    ),
+    radius=st.integers(0, 45),
+)
+def test_square_max_filter_matches_scipy(mask, radius):
+    from scipy import ndimage as ndi
+
+    from spxkit.metrics import _dilate_square
+
+    before = mask.copy()
+    expected = ndi.maximum_filter(mask, size=2 * radius + 1, mode="constant")
+    got = _dilate_square(mask, radius)
+    assert got.dtype == bool
+    assert np.array_equal(got, expected)
+    assert np.array_equal(mask, before)

@@ -220,6 +220,15 @@ class TestOperatorProperties:
         result = gradient_check(2, 6, 6, 1, seed=4)
         assert result["adjoint_err"] <= 1e-6
 
+    @pytest.mark.parametrize("name", ["height", "width", "blocks"])
+    @pytest.mark.parametrize("value", [2.5, 4.0])
+    def test_non_integer_counts_rejected(self, name, value):
+        counts = {"height": 6, "width": 6, "blocks": 4, name: value}
+        with pytest.raises(ValueError, match=name):
+            random_partition(**counts, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=name):
+            gradient_check(2, **counts, seed=0)
+
     def test_block_means_shape(self):
         x, part = self.instance(c=2, k=4)
         means = block_means(x, part)
