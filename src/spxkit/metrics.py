@@ -58,8 +58,8 @@ def _class_pixels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validated int64 (gt, pred) class ids of the pixels not ignored."""
     p, g = _check_pair(pred, gt)
-    if not isinstance(num_classes, Integral) or num_classes < 1:
-        raise ValueError(f"num_classes must be an integer >= 1, got {num_classes!r}")
+    if not isinstance(num_classes, Integral) or not 1 <= num_classes < 2**63:
+        raise ValueError(f"num_classes must be an integer in [1, 2^63), got {num_classes!r}")
 
     pf = p.ravel().astype(np.int64)
     gf = g.ravel().astype(np.int64)

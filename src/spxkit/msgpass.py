@@ -421,7 +421,8 @@ def gradient_check(
     max_rel_err <= 1e-4 and adjoint_err <= 1e-6.
     """
     _require_integers(
-        channels=channels, height=height, width=width, blocks=blocks, stages=stages
+        channels=channels, height=height, width=width, blocks=blocks, stages=stages,
+        seed=seed,
     )
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")

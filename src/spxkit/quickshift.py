@@ -20,10 +20,9 @@ segments the rest of its ladder in one walk.
 Links are searched nearest-first. A squared 5-D distance is at least
 the squared spatial one, dy^2 + dx^2, so after the 8 nearest offsets a
 pixel whose best distance is below 2 pixels is settled; only the rest
-are linked afresh over every link offset, gathered. Where most pixels
-stay open, as on noisy images, a sigma walks all its link offsets row
-by row instead. Offsets beyond tau are never searched. Either way the
-links are those of a full search.
+are linked afresh over every link offset, gathered in place. Where
+most pixels stay open, as on noisy images, a sigma walks all its link
+offsets row by row instead. Offsets beyond tau are never searched.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def _sq_dist(planes: np.ndarray, w: int, offset, scratch: np.ndarray) -> np.ndar
     columns outside x0:x1, in the first row of ``scratch``.
 
     ``planes`` holds the three scaled Lab planes in the padded layout,
-    shape (3, (H + 2) * W); ``scratch`` has shape (3, H*W), and its
+    shape (3, (H + 2 pad) * W); ``scratch`` has shape (3, H*W), and its
     other two rows are free once this returns. The x/y differences are
     exactly dx and dy, so their squares are added as scalars. Terms are
     summed in the order L, a, b, x, y: the order in which
@@ -113,14 +112,14 @@ def _sq_dist(planes: np.ndarray, w: int, offset, scratch: np.ndarray) -> np.ndar
     return d2
 
 
-def _window(h: int, w: int, radii: list[int]) -> list:
+def _window(h: int, w: int, radii: list[int], pad: int) -> list:
     """The offsets (dy, dx) within the largest of ``radii`` that overlap
     an H x W image, in row-major order, each as (dy, dx, x0, x1, run,
     nbr, held). Columns x0:x1 hold the pixels whose (dy, dx) neighbour
     is in the image; ``run`` is the whole rows those pixels span and
-    ``nbr`` their neighbours, as two runs of the padded layout (see
-    ``_parents``); ``held`` lists the indices of the radii that hold
-    the offset."""
+    ``nbr`` their neighbours, as two runs of the layout with ``pad``
+    rows on each side (see ``_parents``); ``held`` lists the indices of
+    the radii that hold the offset."""
     radius = max(radii)
     window = []
     for dy in range(-radius, radius + 1):
@@ -128,7 +127,7 @@ def _window(h: int, w: int, radii: list[int]) -> list:
         for dx in range(-radius, radius + 1):
             x0, x1 = max(0, -dx), w - max(0, dx)
             if y0 < y1 and x0 < x1:
-                run = slice((y0 + 1) * w, (y1 + 1) * w)
+                run = slice((y0 + pad) * w, (y1 + pad) * w)
                 step = dy * w + dx
                 nbr = slice(run.start + step, run.stop + step)
                 held = [k for k, r in enumerate(radii) if max(abs(dy), abs(dx)) <= r]
@@ -165,73 +164,57 @@ def _link_walk(
 
 
 def _link_gather(
-    planes: np.ndarray, h: int, w: int, links: list, jobs: list,
+    planes: np.ndarray, w: int, inner: slice, links: list, jobs: list,
     density: list, best_d2: list, parent: list, unlinked: float,
 ) -> None:
     """For each (sigma index k, flat pixel indices) of ``jobs``, link
     those pixels afresh over every offset of ``links`` (entries of
-    ``_window``) that sigma k's window holds, gathered.
+    ``_window``) that sigma k's window holds, gathered in place from the
+    padded layout whose image rows are ``inner`` (see ``_parents``).
 
     A pixel takes its lexicographically least (d2, index step) eligible
     candidate, or no link when it has none; its link and best d2 before
     the call are not read. ``unlinked`` is the best d2 of a pixel with
     no link, the float just above tau^2: a candidate must be below it.
-    The gather reads copies of the planes and of each density, padded
-    by the offsets' reach, where a neighbour outside the image has
-    density -inf and so never ranks higher. A chunk of
-    max(1, H*W/4 // offsets) pixels meets every offset at once, so
-    scratch arrays hold at most max(H*W/4, offsets) (pixel, offset)
-    pairs; fewer than 4*H*W offsets overlap the image.
+    A chunk of max(1, H*W/4 // offsets) pixels meets every offset at
+    once, so scratch arrays hold at most max(H*W/4, offsets) (pixel,
+    offset) pairs; fewer than 4*H*W offsets overlap the image.
     """
-    ry = max(abs(o[0]) for o in links)
-    rx = max(abs(o[1]) for o in links)
-    w2 = w + 2 * rx
-    inner = (slice(ry, ry + h), slice(rx, rx + w))
-    planes2 = np.zeros((3, h + 2 * ry, w2))
-    planes2[(slice(None), *inner)] = planes[:, w:-w].reshape(3, h, w)
-    planes2 = planes2.reshape(3, -1)
-    dens2 = np.full((h + 2 * ry, w2), -np.inf)
-    dens = dens2.reshape(-1)
-
     for k, pixels in jobs:
         offsets = [o for o in links if k in o[-1]]
-        dens2[inner] = density[k][w:-w].reshape(h, w)
-        best, link = best_d2[k][w:-w], parent[k][w:-w]
-        dys = np.array([o[0] for o in offsets])
-        dxs = np.array([o[1] for o in offsets])
+        dens, best, link = density[k], best_d2[k][inner], parent[k][inner]
+        dys, dxs, x0s, x1s = (np.array([o[i] for o in offsets]) for i in range(4))
         steps = dys * w + dxs
-        steps2 = dys * w2 + dxs
         dxx, dyy = (dxs * dxs).astype(np.float64), (dys * dys).astype(np.float64)
         split = int(np.count_nonzero(steps < 0))  # row-major: these come first
-        ys, xs = np.divmod(pixels, w)
-        at = (ys + ry) * w2 + (xs + rx)  # each pixel's position in the gather layout
-
-        n = max(1, h * w // 4 // len(offsets))
+        at, xs = inner.start + pixels[:, None], pixels[:, None] % w  # position, column
+        n = max(1, (inner.stop - inner.start) // 4 // len(offsets))
         for p0 in range(0, pixels.size, n):
-            pix, q = pixels[p0:p0 + n], at[p0:p0 + n, None]
-            nb = q + steps2
+            pix, q, x = pixels[p0:p0 + n], at[p0:p0 + n], xs[p0:p0 + n]
+            nb = q + steps
             dq, dn = dens[q], dens[nb]
-            lower = np.empty(dn.shape, dtype=bool)  # fails the density rule
-            np.less(dn[:, :split], dq, out=lower[:, :split])
-            np.less_equal(dn[:, split:], dq, out=lower[:, split:])
-            d2 = planes2[0][nb]  # summed as in _sq_dist, so the same floats
-            d2 -= planes2[0][q]
+            refused = np.empty(dn.shape, dtype=bool)  # fails the density rule,
+            np.less(dn[:, :split], dq, out=refused[:, :split])  # as padding rows do,
+            np.less_equal(dn[:, split:], dq, out=refused[:, split:])
+            refused |= x < x0s  # or its column wrapped into another row
+            refused |= x >= x1s
+            d2 = planes[0][nb]  # summed as in _sq_dist, so the same floats
+            d2 -= planes[0][q]
             d2 *= d2
             for c in (1, 2):
-                t = planes2[c][nb]
-                t -= planes2[c][q]
+                t = planes[c][nb]
+                t -= planes[c][q]
                 t *= t
                 d2 += t
             d2 += dxx
             d2 += dyy
-            np.copyto(d2, np.inf, where=lower)
+            np.copyto(d2, np.inf, where=refused)
             # The least d2 of a higher neighbour is eligible if it is
             # at most tau^2; if it is not, no candidate of this pixel is.
             j = d2.argmin(axis=1)  # the first: ties go to the smaller step
             got = d2[np.arange(j.size), j]
-            take = got < unlinked
-            best[pix] = np.where(take, got, unlinked)
-            link[pix] = np.where(take, pix + steps[j], pix)
+            best[pix] = np.minimum(got, unlinked)
+            link[pix] = np.where(got < unlinked, pix + steps[j], pix)
 
 
 def _parents(
@@ -251,29 +234,33 @@ def _parents(
     density, d2 <= tau^2) with the least (d2, index step dy*W + dx).
     Links are searched nearest-first: every pixel first takes the 8
     offsets with dy^2 + dx^2 <= 2. Every other offset has d2 >= 4 (see
-    below), so a pixel whose best d2 is below 4 is settled, and only the
-    open rest are linked afresh over every link offset of their sigma,
-    gathered (``_link_gather``). Where more than ``_DENSE_OPEN`` of a sigma's
-    pixels stay open, that sigma starts over with the row-major walk
-    over all its link offsets (``_link_walk``), which the sigmas taking
-    it share. Each sigma costs three H*W arrays: density, link distance
-    and parent.
+    below), so only the pixels whose best d2 is still >= 4 are linked
+    again, afresh over every link offset of their sigma, gathered
+    (``_link_gather``). A sigma with more than ``_DENSE_OPEN`` of its
+    pixels open starts over with the row-major walk over all its link
+    offsets instead (``_link_walk``), which the sigmas taking it share.
 
-    Per-pixel arrays use a padded layout: flat, row-major, with one row
-    before the image and one after. The whole rows an offset's pixels
-    span, and their neighbours, are then two runs (``_window``), so every
-    step works on one contiguous run. The columns a shift wraps into
-    another row get d2 = +inf: they add exp(-inf) = 0 to a density,
-    which leaves it unchanged, and never link.
+    Per-pixel arrays share one layout: flat, row-major, with 1 + reach
+    padding rows on each side of the image, reach being the largest
+    |dy| of a link offset. The whole rows an offset's pixels span, and
+    their neighbours, are then two runs (``_window``), and every link
+    neighbour, at a pixel's position plus dy*W + dx, lies in the layout.
+    Padding rows have density 0, below any pixel's (its own offset adds
+    exp(0) = 1), and never link; nor do the columns outside an offset's
+    x0:x1, which wrapped into another row. Those get d2 = +inf, which
+    adds exp(-inf) = 0 to a density.
     """
     h, w = lab.shape[:2]
-    size = (h + 2) * w
+    # Farther offsets leave the image; both passes walk the ones that overlap it.
+    radii = [min(int(math.ceil(3.0 * s)), max(h, w) - 1) for s in sigmas]
+    pad = 1 + int(min(params.tau, max(radii), h - 1))  # 1 + the reach of a link
+    size = (h + 2 * pad) * w
+    inner = slice(pad * w, (pad + h) * w)  # the image rows
 
     planes = np.zeros((3, size))
-    planes[:, w:-w] = np.moveaxis(lab * params.color_ratio, 2, 0).reshape(3, -1)
+    planes[:, inner] = np.moveaxis(lab * params.color_ratio, 2, 0).reshape(3, -1)
     scratch = np.empty((3, h * w))  # see _sq_dist
-    # Farther offsets leave the image; both passes walk the ones that overlap it.
-    window = _window(h, w, [min(int(math.ceil(3.0 * s)), max(h, w) - 1) for s in sigmas])
+    window = _window(h, w, radii, pad)
 
     neg_inv_two_sigma2 = [-(1.0 / (2.0 * s**2)) for s in sigmas]
     density = [np.zeros(size) for _ in sigmas]
@@ -288,9 +275,9 @@ def _parents(
                 np.multiply(d2, neg_inv_two_sigma2[k], out=term)
                 density[k][run] += np.exp(term, out=term)
 
-    idx = np.arange(-w, size - w, dtype=np.int64)  # the pixel index at each position
+    idx = np.arange(size, dtype=np.int64) - inner.start  # the pixel index at each position
     parent = [idx.copy() for _ in sigmas]
-    tau2 = params.tau**2
+    tau2 = params.tau**2 if params.tau < 2.0**512 else math.inf  # a square >= 2^1024 is inf
     # Every best starts just above tau2, so "d2 < best" also means d2 <= tau2.
     unlinked = float(np.nextafter(tau2, np.inf))
     best_d2 = [np.full(size, unlinked) for _ in sigmas]
@@ -304,7 +291,7 @@ def _parents(
     _link_walk(planes, w, nearest, every, density, best_d2, parent, idx, scratch)
     jobs, dense = [], []
     for k in every:
-        is_open = best_d2[k][w:-w] >= 4.0
+        is_open = best_d2[k][inner] >= 4.0
         n_open = np.count_nonzero(is_open)
         if not n_open or all(o in nearest for o in links if k in o[-1]):
             continue  # settled, or no link offset of sigma k is past the 8 nearest
@@ -312,14 +299,13 @@ def _parents(
             dense.append(k)
         else:
             jobs.append((k, np.flatnonzero(is_open)))
-    if jobs:
-        _link_gather(planes, h, w, links, jobs, density, best_d2, parent, unlinked)
+    _link_gather(planes, w, inner, links, jobs, density, best_d2, parent, unlinked)
     for k in dense:
         best_d2[k].fill(unlinked)
         parent[k][:] = idx
     if dense:
         _link_walk(planes, w, links, dense, density, best_d2, parent, idx, scratch)
-    return [p[w:-w] for p in parent]
+    return [p[inner] for p in parent]
 
 
 def _segment_sigmas(
@@ -349,10 +335,9 @@ def quickshift_segment(
     their terms in a fixed order (see ``_sq_dist``), density ties go by
     the sign of the offset's index step dy*W + dx, and distance ties
     between link candidates go to the smaller row-major index. The link
-    search is nearest-first: a window offset whose spatial distance
-    alone exceeds tau, or exceeds a pixel's best link distance after
-    its 8 nearest offsets, cannot supply that pixel's link and is not
-    searched for it, so the labels are those of a full search.
+    search is nearest-first and skips only offsets whose spatial
+    distance alone exceeds tau or a pixel's best link distance after
+    its 8 nearest offsets, so the labels are those of a full search.
     """
     (part,) = _segment_sigmas(lab, params, [params.sigma])
     return part

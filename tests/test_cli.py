@@ -620,16 +620,21 @@ def test_module_invocation_smoke():
     ],
 )
 def test_extreme_knobs_leave_stderr_clean(tmp_path, flags, code, err_start):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
     rng = np.random.default_rng(3)
     img_path = tmp_path / "img.ppm"
     write_ppm(rng.integers(0, 256, (24, 24, 3)).astype(np.uint8), str(img_path))
+    env = dict(os.environ)  # the child needs src/ on its path, as above
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "spxkit", "superpixel",
          *flags, str(img_path), "-o", str(tmp_path / "x.mspt")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == code
     assert result.stderr.startswith(err_start)

@@ -3,7 +3,7 @@
 scipy.ndimage and scipy.sparse make up most of a CLI call's start-up, so
 spxkit imports each one only in the call that needs it: SLIC labelling
 needs ndimage, a block-mean plan needs sparse, and the metrics, the
-scoring and Quick Shift need neither.
+scoring, Quick Shift and the overlays need neither.
 """
 
 import json
@@ -68,6 +68,9 @@ def cli_paths(d):
         "spx-eval": ["spx-eval", "--labels", pred, "--gt", gt],
         "superpixel-quickshift": ["superpixel", *qs, "--lambda", "4", img,
                                   "-o", str(d / "qs.mspt")],
+        "superpixel-mean-color": ["superpixel", *qs, "--lambda", "4", img,
+                                  "-o", str(d / "qs.mspt"), "--vis", str(d / "vis.ppm"),
+                                  "--vis-mode", "mean-color"],
         "superpixel-slic": ["superpixel", "--algo", "slic", "--lambda", "4", img,
                             "-o", str(d / "slic.mspt")],
         "refine-quickshift": ["refine", *qs, "--image", img, "--probs", probs,
@@ -77,7 +80,9 @@ def cli_paths(d):
     }
 
 
-@pytest.mark.parametrize("path", ["import", "metrics", "spx-eval", "superpixel-quickshift"])
+@pytest.mark.parametrize(
+    "path", ["import", "metrics", "spx-eval", "superpixel-quickshift", "superpixel-mean-color"]
+)
 def test_path_loads_no_scipy(files, path):
     assert scipy_loaded(cli_paths(files)[path]) == set()
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spxkit import (
     FormatError,
+    block_means,
     read_mspt,
     read_pgm,
     read_ppm,
@@ -291,6 +292,20 @@ class TestRenderOverlay:
         out = render_overlay(img, labels.astype(np.int64), "mean-color")
         assert np.array_equal(out[:, :2], np.full((4, 2, 3), (10, 20, 30), np.uint8))
         assert np.array_equal(out[:, 2:], np.full((4, 2, 3), (50, 60, 70), np.uint8))
+
+    def test_mean_color_matches_block_means(self):
+        # The overlay's own bincount means against the message-passing
+        # block means, on label maps with sparse, large or few ids.
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            h, w = (int(v) for v in rng.integers(2, 20, 2))
+            img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+            ids = rng.choice([1, 3, h * w, 2**40], p=[0.1, 0.3, 0.3, 0.3])
+            labels = rng.integers(0, ids, (h, w), dtype=np.int64)
+            part = relabel_contiguous(labels)
+            means = block_means(img.transpose(2, 0, 1).astype(np.float64), part)
+            want = np.rint(means.T[part.labels]).astype(np.uint8)
+            assert np.array_equal(render_overlay(img, labels, "mean-color"), want), seed
 
     def test_boundaries_painted_red(self):
         img = np.full((4, 4, 3), 200, np.uint8)

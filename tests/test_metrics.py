@@ -56,6 +56,11 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match="num_classes"):
             evaluate_segmentation(PRED_14, GT_14, n)
 
+    @pytest.mark.parametrize("n", [2**63, 10**19])
+    def test_class_count_past_int64_rejected(self, n):
+        with pytest.raises(ValueError, match="num_classes"):
+            evaluate_segmentation(PRED_14, GT_14, n)
+
     def test_numpy_integer_class_count_accepted(self):
         cm = confusion_matrix(PRED_14, GT_14, np.int64(2))
         assert np.array_equal(cm, confusion_matrix(PRED_14, GT_14, 2))

@@ -229,6 +229,11 @@ class TestOperatorProperties:
         with pytest.raises(ValueError, match=name):
             gradient_check(2, **counts, seed=0)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "2", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            gradient_check(2, 4, 4, 2, seed=seed)
+
     def test_block_means_shape(self):
         x, part = self.instance(c=2, k=4)
         means = block_means(x, part)

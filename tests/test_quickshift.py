@@ -118,6 +118,15 @@ def test_random_image_matches_brute_force_exactly():
     assert np.array_equal(part.labels, oracle.labels)
 
 
+def test_tau_whose_square_overflows_links_like_inf():
+    # 1e300**2 overflows a float, so tau^2 is taken as +inf: no link is
+    # too long, as with tau = inf.
+    lab = random_lab(6, 8, 8)
+    want = quickshift_segment(lab, QuickShiftParams(sigma=2.0, tau=math.inf))
+    got = quickshift_segment(lab, QuickShiftParams(sigma=2.0, tau=1e300))
+    assert np.array_equal(got.labels, want.labels)
+
+
 def test_two_color_trees_never_cross_the_boundary():
     img = np.zeros((16, 16, 3), np.uint8)
     img[:, :8] = (255, 0, 0)

@@ -485,8 +485,8 @@ def test_window_is_capped_by_the_image(monkeypatch):
     calls = []
     window = qs_module._window
 
-    def counting(h, w, radii):
-        entries = window(h, w, radii)
+    def counting(h, w, radii, pad):
+        entries = window(h, w, radii, pad)
         calls.extend(o[:2] for o in entries)
         assert len(calls) <= bound, "window offsets not capped by the image"
         return entries
@@ -503,8 +503,8 @@ def test_each_window_offset_is_sliced_once(monkeypatch):
     calls = []
     window = qs_module._window
 
-    def counting(h, w, radii):
-        entries = window(h, w, radii)
+    def counting(h, w, radii, pad):
+        entries = window(h, w, radii, pad)
         calls.extend(o[:2] for o in entries)
         return entries
 
@@ -594,6 +594,19 @@ def test_exact_distance_ties_go_to_the_smaller_step(dense_open):
             assert np.array_equal(links, want_links), seed
 
 
+def padded_layout(h, w, radius, tau2, colours, densities):
+    """Planes and one density in the layout ``_parents`` uses, padded by
+    1 + reach rows, with the image rows ``inner``; reach is the largest
+    |dy| of a link offset within ``radius`` and tau."""
+    pad = 1 + int(min(math.sqrt(tau2), radius, h - 1))
+    size = (h + 2 * pad) * w
+    inner = slice(pad * w, (pad + h) * w)
+    planes, density = np.zeros((3, size)), [np.zeros(size)]
+    planes[:, inner] = colours
+    density[0][inner] = densities
+    return planes, density, inner
+
+
 def test_gather_agrees_with_walk_on_tied_densities():
     # The two link paths on made-up densities of two values, which tie
     # everywhere, and small-integer colours, which tie distances: the
@@ -603,26 +616,24 @@ def test_gather_agrees_with_walk_on_tied_densities():
     for seed in range(80):
         rng = np.random.default_rng(seed)
         h, w = (int(v) for v in rng.integers(2, 9, 2))
-        size = (h + 2) * w
-        planes = np.zeros((3, size))
-        planes[:, w:-w] = rng.integers(0, 3, (3, h * w))
-        density = [np.zeros(size)]
-        density[0][w:-w] = rng.integers(1, 3, h * w)
-        window = qs_module._window(h, w, [int(rng.integers(1, max(h, w)))])
+        colours, densities = rng.integers(0, 3, (3, h * w)), rng.integers(1, 3, h * w)
+        radius = int(rng.integers(1, max(h, w)))
         tau2 = float(rng.choice([2.0, 4.0, 9.0, 25.0, math.inf]))
+        planes, density, inner = padded_layout(h, w, radius, tau2, colours, densities)
+        window = qs_module._window(h, w, [radius], inner.start // w)
         links = [o for o in window if 0 < o[0] ** 2 + o[1] ** 2 <= tau2]
         nearest = [o for o in links if o[0] ** 2 + o[1] ** 2 <= 2]
         far = [o for o in links if o[0] ** 2 + o[1] ** 2 > 2]
-        idx = np.arange(-w, size - w)
+        idx = np.arange(planes.shape[1]) - inner.start
         scratch = np.empty((3, h * w))
         unlinked = float(np.nextafter(tau2, np.inf))
-        best, parent = [np.full(size, unlinked)], [idx.copy()]
+        best, parent = [np.full(idx.size, unlinked)], [idx.copy()]
         walk(planes, w, links, [0], density, best, parent, idx, scratch)
-        got_best, got_parent = [np.full(size, unlinked)], [idx.copy()]
+        got_best, got_parent = [np.full(idx.size, unlinked)], [idx.copy()]
         walk(planes, w, nearest, [0], density, got_best, got_parent, idx, scratch)
-        pixels = np.flatnonzero(got_best[0][w:-w] >= 4.0)
+        pixels = np.flatnonzero(got_best[0][inner] >= 4.0)
         if far and pixels.size:
-            gather(planes, h, w, links, [(0, pixels)], density, got_best, got_parent, unlinked)
+            gather(planes, w, inner, links, [(0, pixels)], density, got_best, got_parent, unlinked)
         assert np.array_equal(got_parent[0], parent[0]), seed
         assert np.array_equal(got_best[0], best[0]), seed
 
@@ -635,23 +646,21 @@ def test_gather_links_open_pixels_afresh():
     for seed in range(60):
         rng = np.random.default_rng(seed)
         h, w = (int(v) for v in rng.integers(2, 9, 2))
-        size = (h + 2) * w
-        planes = np.zeros((3, size))
-        planes[:, w:-w] = rng.integers(0, 3, (3, h * w))
-        density = [np.zeros(size)]
-        density[0][w:-w] = rng.integers(1, 3, h * w)
-        window = qs_module._window(h, w, [int(rng.integers(1, max(h, w)))])
+        colours, densities = rng.integers(0, 3, (3, h * w)), rng.integers(1, 3, h * w)
+        radius = int(rng.integers(1, max(h, w)))
         tau2 = float(rng.choice([2.0, 4.0, 9.0, 25.0, math.inf]))
+        planes, density, inner = padded_layout(h, w, radius, tau2, colours, densities)
+        window = qs_module._window(h, w, [radius], inner.start // w)
         links = [o for o in window if 0 < o[0] ** 2 + o[1] ** 2 <= tau2]
-        idx = np.arange(-w, size - w)
+        idx = np.arange(planes.shape[1]) - inner.start
         unlinked = float(np.nextafter(tau2, np.inf))
-        best, parent = [np.full(size, unlinked)], [idx.copy()]
+        best, parent = [np.full(idx.size, unlinked)], [idx.copy()]
         walk(planes, w, links, [0], density, best, parent, idx, np.empty((3, h * w)))
         pixels = np.flatnonzero(rng.random(h * w) < 0.5)
         got_best, got_parent = [best[0].copy()], [parent[0].copy()]
-        got_best[0][w + pixels] = 0.0
-        got_parent[0][w + pixels] = 0
-        gather(planes, h, w, links, [(0, pixels)], density, got_best, got_parent, unlinked)
+        got_best[0][inner.start + pixels] = 0.0
+        got_parent[0][inner.start + pixels] = 0
+        gather(planes, w, inner, links, [(0, pixels)], density, got_best, got_parent, unlinked)
         assert np.array_equal(got_parent[0], parent[0]), seed
         assert np.array_equal(got_best[0], best[0]), seed
 
@@ -660,8 +669,8 @@ def test_gather_scratch_is_bounded_with_more_offsets_than_pixels(monkeypatch):
     # A clean 24^2 scene at sigma 8, tau 30: its window (radius 23, the
     # image's cap) holds far more link offsets than H*W/4 = 144. A chunk
     # then holds one pixel, so the gather's scratch is one row of
-    # (pixel, offset) pairs and a few arrays over the offsets, beside
-    # its padded copies of the planes and of one density.
+    # (pixel, offset) pairs and a few arrays over the offsets; it reads
+    # the planes and the density in place.
     lab = srgb_to_lab(clean_scene())
     h, w = lab.shape[:2]
     params = QuickShiftParams(sigma=8.0, tau=30.0)
@@ -682,8 +691,47 @@ def test_gather_scratch_is_bounded_with_more_offsets_than_pixels(monkeypatch):
         part = quickshift_segment(lab, params)
     assert np.array_equal(part.labels, oracle_quickshift_segment(lab, params).labels)
     (peak,) = peaks
-    padded = (h + 2 * 23) * (w + 2 * 23)  # the planes and density copies
-    assert peak <= 128 * max(h * w // 4, links) + 4 * 8 * padded, f"{peak} B"
+    assert peak <= 128 * max(h * w // 4, links), f"{peak} B"
+
+
+def voronoi_scene(seed: int, size: int, regions: int) -> np.ndarray:
+    """A noiseless (size, size, 3) uint8 scene of Voronoi regions, each
+    with a gentle colour ramp."""
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(0, size, (regions, 2))
+    base = rng.uniform(40.0, 215.0, (regions, 3))
+    slope = rng.uniform(-2.0, 2.0, (regions, 3, 2)) * (24.0 / size)
+    yy, xx = np.mgrid[:size, :size].astype(np.float64)
+    region = np.argmin((yy[..., None] - sites[:, 0]) ** 2 + (xx[..., None] - sites[:, 1]) ** 2,
+                       axis=2)
+    img = (base[region] + slope[region, :, 0] * (yy - sites[region, 0])[..., None]
+           + slope[region, :, 1] * (xx - sites[region, 1])[..., None])
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+def test_gathered_segment_memory(monkeypatch):
+    # A clean 256^2 scene at the default sigma: few pixels stay open
+    # after the 8 nearest offsets, so the gather links them, reading the
+    # planes and the density in place. One sigma holds a density, a link
+    # distance and a parent (24 B/pixel) in the padded layout; the
+    # colour planes, the distance scratch, the index map and the
+    # gather's chunk come on top.
+    lab = srgb_to_lab(voronoi_scene(3, 256, 12))
+    gathered, gather = [], qs_module._link_gather
+
+    def counting_gather(planes, w, inner, links, jobs, *rest):
+        gathered.extend(k for k, _ in jobs)
+        return gather(planes, w, inner, links, jobs, *rest)
+
+    monkeypatch.setattr(qs_module, "_link_gather", counting_gather)
+    tracemalloc.start()
+    try:
+        quickshift_segment(lab, QuickShiftParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gathered == [0]
+    assert peak <= 120 * 256 * 256, f"{peak / 256**2:.1f} B/pixel"
 
 
 @pytest.mark.parametrize("shape", [(1, 9, 3), (9, 1, 3)])
@@ -715,9 +763,9 @@ def test_clean_scenes_gather_and_noise_walks(monkeypatch, scene, path):
     gathered, walked = [], []  # the sigma indices each path links
     gather, walk = qs_module._link_gather, qs_module._link_walk
 
-    def counting_gather(planes, h, w, links, jobs, *rest):
+    def counting_gather(planes, w, inner, links, jobs, *rest):
         gathered.extend(k for k, _ in jobs)
-        return gather(planes, h, w, links, jobs, *rest)
+        return gather(planes, w, inner, links, jobs, *rest)
 
     def counting_walk(planes, w, offsets, ks, *rest):
         walked.append((len(offsets), list(ks)))
