@@ -249,10 +249,17 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+# Built by the first main() call and reused, since parsing keeps no state
+# in the parser; building it at import would slow ``import spxkit.cli``.
+_parser: _Parser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

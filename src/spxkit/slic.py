@@ -8,7 +8,9 @@ fixed row-major order. A connectivity pass then splits stray components
 and absorbs fragments below a size floor, so the returned partition is
 always valid and 4-connected. The components come from one raster
 labelling (``scipy.ndimage.label``) of a grid that holds the pixels and
-the links between equal-label 4-neighbours.
+the links between equal-label 4-neighbours; their border lengths are
+one symmetric CSR adjacency, so the merge keeps a few arrays over
+component pairs and no Python object per component.
 """
 
 from __future__ import annotations
@@ -280,25 +282,46 @@ def _components_first_appearance(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return np.subtract(nodes[::2, ::2], 1, dtype=np.int64), ncomp
 
 
-def _border_neighbors(comp: np.ndarray, ncomp: int) -> list[dict[int, int]]:
-    """Per-component map of adjacent component -> shared border length.
+def _border_adjacency(
+    comp: np.ndarray, ncomp: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric CSR adjacency of the components: (rows, cols, counts).
 
-    Border length counts 4-adjacent pixel pairs with different
-    component ids (each pair once).
+    Entry (a, b) counts the 4-adjacent pixel pairs with component ids a
+    and b, a != b; each pair is listed from both sides. One ``np.unique``
+    over the keys ``a * ncomp + b`` and ``b * ncomp + a``, in the
+    narrowest unsigned dtype that holds ``ncomp**2 - 1``, orders the
+    entries by (row, column).
     """
+    narrow = np.min_scalar_type(ncomp * ncomp - 1)
+    flat = comp.astype(narrow).ravel()
+    w = comp.shape[1]
+    right = flat[:-1] != flat[1:]
+    right[w - 1 :: w] = False  # a row's last pixel and the next row's first
     keys = []
-    for a, b in ((comp[:, :-1], comp[:, 1:]), (comp[:-1, :], comp[1:, :])):
-        a, b = a.ravel(), b.ravel()
-        m = a != b
-        keys.append(np.minimum(a[m], b[m]) * ncomp + np.maximum(a[m], b[m]))
-    # lo * ncomp + hi sorts like the (lo, hi) pairs, since hi < ncomp.
-    uniq, counts = np.unique(np.concatenate(keys), return_counts=True)
-    neighbors: list[dict[int, int]] = [dict() for _ in range(ncomp)]
-    for key, c in zip(uniq.tolist(), counts.tolist()):
-        p, q = divmod(key, ncomp)
-        neighbors[p][q] = c
-        neighbors[q][p] = c
-    return neighbors
+    for step, pair in ((1, right), (w, flat[:-w] != flat[w:])):
+        at = np.flatnonzero(pair)
+        a, b = flat[at], flat[at + step]
+        keys += [a * ncomp + b, b * ncomp + a]
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    rows, cols = np.divmod(keys, ncomp)
+    return rows, cols, counts
+
+
+def _first_longest_border(
+    rows: np.ndarray, cols: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per nonempty row: the column with the largest count, ties to the smallest.
+
+    Entries must be sorted by (row, column). Returns (row ids, columns).
+    """
+    if not rows.size:
+        return rows, cols
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    longest = np.maximum.reduceat(counts, starts)
+    hit = np.flatnonzero(counts == np.repeat(longest, np.diff(np.r_[starts, rows.size])))
+    first = hit[np.r_[True, rows[hit[1:]] != rows[hit[:-1]]]]
+    return rows[first], cols[first]
 
 
 def enforce_connectivity(
@@ -307,42 +330,98 @@ def enforce_connectivity(
     """Split disconnected label regions and absorb undersized fragments.
 
     Every connected component becomes its own block; components smaller
-    than ``min_size`` are merged into the adjacent region sharing the
-    longest border (ties: smallest component id in row-major
-    first-appearance order). Merges accumulate, so a fragment absorbed
-    early still follows its host through later merges.
+    than ``min_size`` (an integer >= 1) are merged into the adjacent
+    region sharing the longest border (ties: smallest component id in
+    row-major first-appearance order). Merges accumulate, so a fragment
+    absorbed early still follows its host through later merges.
 
     Components come from one raster labelling of a grid of pixels and
     equal-label links (see ``_components_first_appearance``).
-    ``raw_labels`` must be a nonempty 2-D integer array. One ascending
-    sweep over component ids merges ``r`` if it is below ``min_size`` and
-    has a neighbour; ``r`` is still a root then, since only its own step
-    points it elsewhere. This equals always merging the smallest eligible
-    root: merges only grow sizes and neighbour maps only name roots, so a
-    root the sweep has passed can never become eligible again.
+    ``raw_labels`` must be a nonempty 2-D integer array. The merges are
+    those of one ascending sweep over component ids that merges ``r`` if
+    it is below ``min_size`` and has a neighbour; ``r`` is still a root
+    then, since only its own step points it elsewhere. This equals always
+    merging the smallest eligible root: merges only grow sizes and
+    adjacency only names roots, so a root the sweep has passed can never
+    become eligible again.
+
+    The sweep runs on one symmetric CSR adjacency of the original
+    components (``_border_adjacency``), so its memory is a few arrays
+    over component pairs, with no Python object per component. Only a
+    component that starts below ``min_size`` ever merges, and the border
+    map of ``r`` changes only when a neighbour moves; by induction, the
+    first neighbour of ``r`` to move is a lower-id component that also
+    started below ``min_size``. So a small component with no such
+    neighbour ("settled") reaches its turn with its original size and
+    adjacency, and all settled targets come at once from a segment max
+    over their CSR rows. Nor does any merge touch a settled component
+    before its turn: a merging set's members all started small and none
+    has a higher id than the set's root. So settled merges are entered
+    up front, each into its target's member ring, and only the other
+    small components are walked, in ascending id. A walked ``r`` sums its
+    members' original CSR rows by current root, which is the border map
+    the sweep holds for ``r``; ``parent`` always names a component's
+    root at the walk's current step, since a merge relabels the whole
+    member ring and a settled component is never a neighbour of a walked
+    set before its turn.
     """
+    if not isinstance(min_size, Integral) or min_size < 1:
+        raise ValueError(f"min_size must be an integer >= 1, got {min_size!r}")
     comp, ncomp = _components_first_appearance(check_label_map(raw_labels))
-    sizes = np.bincount(comp.ravel(), minlength=ncomp).astype(np.int64)
-    neighbors = _border_neighbors(comp, ncomp)
+    sizes = np.bincount(comp.ravel(), minlength=ncomp)
+    rows, cols, counts = _border_adjacency(comp, ncomp)
+    indptr = np.searchsorted(rows, np.arange(ncomp + 1, dtype=rows.dtype))
 
+    small = sizes < min_size
+    walked = np.zeros(ncomp, dtype=bool)
+    walked[rows[(cols < rows) & small[cols]]] = True
+    walked &= small
+    pick = (small & ~walked)[rows]
+    settled, targets = _first_longest_border(rows[pick], cols[pick], counts[pick])
     parent = np.arange(ncomp)
-    for r in range(ncomp):
-        if sizes[r] >= min_size or not neighbors[r]:
-            continue
-        target = max(neighbors[r].items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        parent[r] = target
-        sizes[target] += sizes[r]
-        for nbr, cnt in neighbors[r].items():
-            if nbr == target:
-                continue
-            neighbors[target][nbr] = neighbors[target].get(nbr, 0) + cnt
-            # The maps stay symmetric with counts >= 1: nbr's holds r with cnt.
-            del neighbors[nbr][r]
-            neighbors[nbr][target] = neighbors[nbr].get(target, 0) + cnt
-        neighbors[target].pop(r, None)
-        neighbors[r] = {}
+    parent[settled] = targets
+    np.add.at(sizes, targets, sizes[settled])
+    # Member rings: each target's settled members follow it, and the
+    # last of them points back at the target.
+    next_member = np.arange(ncomp)
+    if settled.size:
+        by_target = np.argsort(targets)
+        ts, ss = targets[by_target], settled[by_target]
+        head = np.r_[True, ts[1:] != ts[:-1]]
+        tail = np.r_[head[1:], True]
+        next_member[ss] = np.where(tail, ts, np.roll(ss, -1))
+        next_member[ts[head]] = ss[head]
 
-    # Each merge pointed at a root, so pointer jumping ends at the roots.
-    while not np.array_equal(parent[parent], parent):
-        parent = parent[parent]
-    return relabel_contiguous(parent[comp])
+    par, ring, size = memoryview(parent), memoryview(next_member), memoryview(sizes)
+    start, col, cnt = memoryview(indptr), memoryview(cols), memoryview(counts)
+    for r in np.flatnonzero(walked).tolist():
+        if size[r] >= min_size:
+            continue
+        border: dict[int, int] = {}
+        m = r
+        while True:
+            lo, hi = start[m], start[m + 1]
+            for c, k in zip(col[lo:hi], cnt[lo:hi]):
+                t = par[c]
+                if t != r:
+                    border[t] = border.get(t, 0) + k
+            m = ring[m]
+            if m == r:
+                break
+        if not border:
+            continue
+        target, longest = r, 0
+        for t, k in border.items():
+            if k > longest or (k == longest and t < target):
+                target, longest = t, k
+        size[target] += size[r]
+        m = r
+        while True:
+            par[m] = target
+            m = ring[m]
+            if m == r:
+                break
+        ring[r], ring[target] = ring[target], ring[r]
+    # Component ids follow first appearance, so ranking the roots over
+    # the component ids ranks the blocks over the pixels.
+    return SuperpixelPartition(relabel_contiguous(parent[None]).labels[0][comp])

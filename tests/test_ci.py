@@ -49,3 +49,14 @@ def test_yaml_is_in_the_test_extra():
     pyproject = (ROOT / "pyproject.toml").read_text()
     extra = re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1)
     assert re.search(r'"pyyaml\b', extra, re.I)
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_spxkit_deprecation_warnings_fail_the_suite(category):
+    # Outputs are bit-exact per numpy version, so a deprecated numpy call
+    # inside spxkit must fail tier-1 before a numpy release changes what
+    # it returns. pyproject.toml turns such warnings into errors.
+    import warnings
+
+    with pytest.raises(category):
+        warnings.warn_explicit("deprecated", category, "slic.py", 1, module="spxkit.slic")

@@ -657,3 +657,56 @@ def test_determinism_same_invocation_same_bytes(capsys, tmp_path):
         assert code == 0
         outs.append(out_path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys, tmp_path):
+    from spxkit import cli
+
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    gradcheck = ["gradcheck", "--channels", "1", "--height", "4", "--width", "4",
+                 "--blocks", "2", "--seed", "0"]
+    for argv in (gradcheck, ["--help"], ["metrics", "--classes", "x"], gradcheck):
+        main(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_reused_parser_answers_as_a_fresh_process(monkeypatch, capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from spxkit import cli
+
+    # Help text wraps at the terminal width, so pin it on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def fresh(argv):
+        result = subprocess.run([sys.executable, "-m", "spxkit", *argv],
+                                capture_output=True, text=True, env=env)
+        return result.returncode, result.stdout, result.stderr
+
+    bad = ["superpixel", "--lambda", "many", "in.ppm", "-o", "out.mspt"]
+    good = ["gradcheck", "--channels", "1", "--height", "4", "--width", "4",
+            "--blocks", "2", "--seed", "0"]
+    want = {name: fresh(argv) for name, argv in
+            (("bad", bad), ("help", ["--help"]), ("good", good))}
+    assert want["bad"][0] == 1 and want["bad"][2].startswith("usage: spxkit superpixel")
+    assert want["help"][0] == 0 and want["help"][1].startswith("usage: spxkit")
+    assert want["good"][0] == 0
+
+    monkeypatch.setattr(cli, "_parser", None)
+    for name, argv in (("bad", bad), ("good", good), ("help", ["--help"]), ("good", good)):
+        assert run(capsys, argv) == want[name], name

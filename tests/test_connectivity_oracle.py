@@ -152,17 +152,28 @@ def test_random_label_maps_match_oracle(raw, min_size):
     assert_matches_oracle(raw, min_size)
 
 
+def oracle_adjacency(neighbors: list[dict[int, int]]) -> tuple[list, list, list]:
+    """The oracle's neighbour maps as CSR (rows, cols, counts), by (row, column)."""
+    entries = [(p, q, c) for p, d in enumerate(neighbors) for q, c in sorted(d.items())]
+    return tuple(list(x) for x in zip(*entries)) if entries else ([], [], [])
+
+
+def assert_adjacency_matches_oracle(raw: np.ndarray) -> None:
+    comp, ncomp = slic_module._components_first_appearance(raw)
+    got = slic_module._border_adjacency(comp, ncomp)
+    assert all(a.dtype == np.min_scalar_type(ncomp * ncomp - 1) for a in got[:2])
+    want = oracle_adjacency(_border_neighbors(*_components_first_appearance(raw)))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 def test_checkerboard_with_border_keys_past_int32_matches_oracle():
-    # 220^2 singleton components: ncomp > 46341, so the border keys
-    # lo * ncomp + hi pass 2**31 and need int64 component labels.
+    # 220^2 singleton components: ncomp > 46340, so the border keys
+    # a * ncomp + b pass 2**31 and need unsigned 32-bit keys.
     raw = np.indices((220, 220)).sum(axis=0) % 2
     comp, ncomp = _components_first_appearance(raw)
-    assert ncomp == 220 * 220 and (ncomp - 2) * ncomp > 2**31
-    got = slic_module._border_neighbors(
-        *slic_module._components_first_appearance(raw)
-    )
-    want = _border_neighbors(comp, ncomp)
-    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    assert ncomp == 220 * 220 and (ncomp - 1) * ncomp > 2**31
+    assert_adjacency_matches_oracle(raw)
     # The oracle's merge loop takes about half an hour here, so its result
     # is written out: each singleton in turn shares a border of 1 with the
     # block of component 1 and with each other neighbour, and the tie goes
@@ -171,6 +182,114 @@ def test_checkerboard_with_border_keys_past_int32_matches_oracle():
     assert part.num_blocks == 1
     assert np.array_equal(part.labels, np.zeros((220, 220)))
     assert np.array_equal(part.block_sizes, [220 * 220])
+
+
+def test_adjacency_keys_past_uint32_match_oracle():
+    # 257^2 > 65536 singleton components: the keys need 64 bits.
+    raw = np.indices((257, 257)).sum(axis=0) % 2
+    assert_adjacency_matches_oracle(raw)
+    assert enforce_connectivity(raw, 2).num_blocks == 1
+
+
+def walked_and_settled(raw: np.ndarray, min_size: int) -> tuple[int, int]:
+    """Small components with and without a lower-id small neighbour."""
+    comp, ncomp = _components_first_appearance(raw)
+    small = np.bincount(comp.ravel(), minlength=ncomp) < min_size
+    walked = np.zeros(ncomp, dtype=bool)
+    for p, nbrs in enumerate(_border_neighbors(comp, ncomp)):
+        walked[p] = small[p] and any(q < p and small[q] for q in nbrs)
+    return int(walked.sum()), int((small & ~walked).sum())
+
+
+@pytest.mark.parametrize("min_size", range(2, 21))
+@pytest.mark.parametrize("levels", [4, 16])
+def test_uniform_noise_label_maps_match_oracle(levels, min_size):
+    raw = np.random.default_rng([levels, min_size]).integers(0, levels, (24, 24))
+    walked, settled = walked_and_settled(raw, min_size)
+    assert walked > settled
+    assert_matches_oracle(raw, min_size)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (8, 8), (9, 13), (16, 16)])
+@pytest.mark.parametrize("min_size", [2, 3, 5])
+def test_pixel_checkerboards_match_oracle(shape, min_size):
+    raw = np.indices(shape).sum(axis=0) % 2
+    assert_matches_oracle(raw, min_size)
+
+
+def test_lower_neighbour_merged_into_a_fragment_before_its_turn():
+    # X (id 0) joins R (id 1), border 2 against 1 with T. R + X then
+    # borders T 3 times and Y twice, so R joins T, where R alone would
+    # tie T and Y and join Y, the smaller id.
+    raw = np.array([
+        [0, 1, 1, 2, 2, 2],
+        [0, 1, 1, 2, 2, 2],
+        [3, 3, 3, 2, 2, 2],
+        [3, 3, 3, 3, 3, 3],
+    ])
+    assert walked_and_settled(raw, 7) == (1, 1)
+    assert_matches_oracle(raw, 7)
+    assert enforce_connectivity(raw, 7).labels.tolist() == [
+        [0, 0, 0, 1, 1, 1],
+        [0, 0, 0, 1, 1, 1],
+        [0, 0, 0, 1, 1, 1],
+        [0, 0, 0, 0, 0, 0],
+    ]
+
+
+def test_lower_neighbour_merged_away_before_its_turn():
+    # X (id 1) joins T (id 0), border 3 against 1 with R. R (id 2) then
+    # borders T twice (its own edge and X's) and Y twice, and the tie goes
+    # to T, where R alone would join Y.
+    raw = np.array([
+        [0, 0, 0, 0, 0],
+        [0, 1, 2, 3, 3],
+        [0, 0, 3, 3, 3],
+    ])
+    assert walked_and_settled(raw, 2) == (1, 1)
+    assert_matches_oracle(raw, 2)
+    assert enforce_connectivity(raw, 2).labels.tolist() == [
+        [0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 1],
+        [0, 0, 1, 1, 1],
+    ]
+
+
+@pytest.mark.parametrize("length", [2, 5, 12])
+def test_staircase_of_fragments_each_merging_into_the_next_matches_oracle(length):
+    # A diagonal run of 1-pixel fragments over a large background: each
+    # touches the next one's block, so the walk carries every earlier
+    # merge along.
+    raw = np.zeros((length + 2, length + 2), dtype=np.int64)
+    for i in range(length):
+        raw[i + 1, i + 1] = raw[i + 1, i + 2] = i + 1
+    assert_matches_oracle(raw, 5)
+    assert_matches_oracle(raw, 3 * length)
+
+
+def test_memory_on_uniform_noise_slic_labels_is_bounded(monkeypatch):
+    # 256^2 uniform noise at K = 400 leaves ~34,000 raw components, nearly
+    # all below the size floor. A Python dict per component peaked near
+    # 20 MiB here; the CSR adjacency keeps a few arrays over border pairs.
+    img = np.random.default_rng(0).integers(0, 256, (256, 256, 3), dtype=np.uint8)
+    captured = []
+
+    def capture(raw_labels, min_size):
+        captured.append((raw_labels, min_size))
+        return SuperpixelPartition(np.zeros(raw_labels.shape, dtype=np.int32))
+
+    monkeypatch.setattr(slic_module, "enforce_connectivity", capture)
+    slic_segment(srgb_to_lab(img), SlicParams(num_superpixels=400))
+    monkeypatch.undo()
+    ((raw, min_size),) = captured
+    assert slic_module._components_first_appearance(raw)[1] > 30_000
+    tracemalloc.start()
+    try:
+        enforce_connectivity(raw, min_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_raw_slic_labels_of_noisy_image_match_oracle(monkeypatch):

@@ -288,3 +288,17 @@ class TestEnforceConnectivity:
     def test_rejects_non_integer_labels(self):
         with pytest.raises(ValueError, match="integer"):
             enforce_connectivity(np.zeros((3, 3)), min_size=2)
+
+    @pytest.mark.parametrize("min_size", [float("nan"), 2.5, "3", 0, -1, 2.0, None])
+    def test_rejects_min_size_that_is_not_a_positive_integer(self, min_size):
+        # NaN used to merge everything (sizes >= nan is always False) and
+        # "3" escaped as numpy's UFuncTypeError.
+        labels = np.array([[0, 0, 1], [0, 2, 1]])
+        with pytest.raises(ValueError, match="min_size"):
+            enforce_connectivity(labels, min_size)
+
+    @pytest.mark.parametrize("min_size", [1, np.int32(2), np.uint64(2), np.int64(7)])
+    def test_accepts_python_and_numpy_integer_min_size(self, min_size):
+        labels = np.array([[0, 0, 1], [0, 2, 1]])
+        want = enforce_connectivity(labels, int(min_size))
+        assert np.array_equal(enforce_connectivity(labels, min_size).labels, want.labels)

@@ -5,9 +5,10 @@ clusters, each updating its clipped window with a strict ``<``), the
 original ``_initial_centers`` (a Python loop over seeds and over each
 seed's 3x3 neighborhood) and the original ``_border_neighbors`` (a
 ``np.unique(axis=0)`` over sorted pixel pairs). The library versions
-batch clusters and seeds; labels, centers and neighbor maps must stay
-the same, bit for bit, and the assignment's scratch memory must not
-grow with the cluster count. The ``slic_segment`` loop is checked
+batch clusters and seeds, and keep the neighbour maps as one CSR
+adjacency; labels, centers and neighbour entries must stay the same,
+bit for bit, and the assignment's scratch memory must not grow with
+the cluster count. The ``slic_segment`` loop is checked
 against its form from when the iteration cap, residual threshold and
 fragment floor were settable, with their values written in.
 """
@@ -160,10 +161,11 @@ def assert_assign_matches(lab, centers, spacing, ratio):
 
 def assert_neighbors_match(raw: np.ndarray) -> None:
     comp, ncomp = slic_module._components_first_appearance(raw)
-    got = slic_module._border_neighbors(comp, ncomp)
+    rows, cols, counts = slic_module._border_adjacency(comp, ncomp)
     want = oracle_border_neighbors(comp, ncomp)
-    # Equal dicts with equal insertion order: the merge loop iterates them.
-    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    # The CSR entries are the maps' items, sorted by (row, column).
+    entries = [(p, q, c) for p, d in enumerate(want) for q, c in sorted(d.items())]
+    assert list(zip(rows.tolist(), cols.tolist(), counts.tolist())) == entries
 
 
 def random_lab(rng, h, w, quantized):
