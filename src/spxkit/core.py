@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = [
     "AlgorithmError",
     "SuperpixelPartition",
     "ValidationResult",
+    "check_count",
     "check_feature_layout",
     "check_feature_map",
     "check_image",
@@ -157,6 +159,16 @@ def relabel_contiguous(raw_labels: np.ndarray) -> SuperpixelPartition:
     rank = np.empty(first.size, dtype=np.int32)  # unused values are never read
     rank[values] = np.arange(values.size, dtype=np.int32)
     return SuperpixelPartition(rank[flat].reshape(arr.shape))
+
+
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """``int(value)`` for an integer (numpy ones too, never 2.0) in [low, high],
+    bounds inclusive, with no upper bound when ``high`` is None; otherwise a
+    ``ValueError`` naming ``name`` and its bounds."""
+    if isinstance(value, Integral) and low <= value and (high is None or value <= high):
+        return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def check_image(image: np.ndarray) -> np.ndarray:

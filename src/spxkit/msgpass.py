@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
 from .color import srgb_to_lab
 from .core import (
     SuperpixelPartition,
+    check_count,
     check_feature_layout,
     check_feature_map,
     check_image,
@@ -73,6 +73,11 @@ __all__ = [
 def _check_alpha(alpha: float) -> None:
     if not 0 <= alpha < math.inf:  # also rejects NaN
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
+def _check_increasing(name: str, scales: tuple[int, ...]) -> None:
+    if any(b <= a for a, b in zip(scales, scales[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {scales}")
 
 
 def _check_pair(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray:
@@ -120,9 +125,8 @@ def mean_map(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray
     This is the projector P applied to the features; applying it twice
     reproduces the same map (up to roundoff).
     """
-    x = _check_pair(features, partition)
-    means = np.array(list(_channel_means(x, partition)))
-    return np.take(means, partition._plan.index, axis=1).reshape(x.shape)
+    means = block_means(features, partition)
+    return np.take(means, partition._plan.index, axis=1).reshape(-1, *partition.labels.shape)
 
 
 def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
@@ -179,13 +183,6 @@ def message_pass_grad(
     return message_pass(grad_output, partition, alpha)
 
 
-def _require_integers(**counts: int) -> None:
-    """Refuse a non-integer count (even 2.0) with a ValueError naming it."""
-    for name, value in counts.items():
-        if not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def downsample_partition(
     partition: SuperpixelPartition, target_height: int, target_width: int
 ) -> SuperpixelPartition:
@@ -194,16 +191,12 @@ def downsample_partition(
     Target cell (i, j) covers source rows floor(i*H/h)..floor((i+1)*H/h)-1
     and the analogous columns; the cell takes the most frequent source
     label (ties: smallest label). Blocks that vanish are dropped by a
-    contiguous relabel.
+    contiguous relabel. The target dims must be integers in [1, H] and
+    [1, W].
     """
     h_src, w_src = partition.labels.shape
-    _require_integers(target_height=target_height, target_width=target_width)
-    target_height, target_width = int(target_height), int(target_width)
-    if not (1 <= target_height <= h_src and 1 <= target_width <= w_src):
-        raise ValueError(
-            f"target dims ({target_height}, {target_width}) must be in "
-            f"[1, source dims ({h_src}, {w_src})]"
-        )
+    target_height = check_count("target_height", target_height, 1, h_src)
+    target_width = check_count("target_width", target_width, 1, w_src)
 
     # Inverse of the cell->rows box mapping: row y lands in cell
     # floor(((y + 1) * h - 1) / H).
@@ -241,9 +234,7 @@ class CascadeTrace:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ValueError("trace stages must be nonempty")
-        scales = [s for s, _ in self.stages]
-        if any(b <= a for a, b in zip(scales, scales[1:])):
-            raise ValueError(f"trace scales must be strictly increasing: {scales}")
+        _check_increasing("trace scales", tuple(s for s, _ in self.stages))
         shapes = {p.labels.shape for _, p in self.stages}
         if len(shapes) > 1:
             raise ValueError(f"trace partitions disagree on shape: {shapes}")
@@ -267,8 +258,9 @@ def cascade_apply(
 class MspConfig:
     """Settings for the multiscale message-passing cascade.
 
-    ``scales`` lists the requested block count per stage, integers that
-    must be strictly increasing (large blocks first, finer blocks later).
+    ``scales`` lists the requested block count per stage, integers >= 1
+    that must be strictly increasing (large blocks first, finer blocks
+    later).
     ``alpha`` weights the block-mean message added back to each feature.
     ``segmenter`` picks the superpixel generator and holds its knobs: a
     :class:`SlicParams` is a template whose ``num_superpixels`` each
@@ -281,18 +273,12 @@ class MspConfig:
     segmenter: SlicParams | QuickShiftParams = SlicParams(200)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scales", tuple(self.scales))
         _check_alpha(self.alpha)
-        if not self.scales:
+        scales = tuple(check_count("every scale", s) for s in self.scales)
+        if not scales:
             raise ValueError("scales must be nonempty")
-        if any(not isinstance(s, Integral) or s < 1 for s in self.scales):
-            raise ValueError(f"every scale must be an integer >= 1, got {self.scales}")
-        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise ValueError(
-                "scales must be strictly increasing (each scale must exceed "
-                f"the previous one), got {self.scales}"
-            )
+        _check_increasing("scales", scales)
+        object.__setattr__(self, "scales", scales)
         if not isinstance(self.segmenter, (SlicParams, QuickShiftParams)):
             raise ValueError(
                 "segmenter must be SlicParams or QuickShiftParams, got "
@@ -375,12 +361,14 @@ def random_partition(
     height: int, width: int, blocks: int, rng: np.random.Generator
 ) -> SuperpixelPartition:
     """Seeded Voronoi partition: ``blocks`` distinct seed pixels, each
-    pixel labeled by its nearest seed (ties: lowest seed index)."""
-    _require_integers(height=height, width=width, blocks=blocks)
-    n = height * width
-    if not 1 <= blocks <= n:
-        raise ValueError(f"blocks must be in [1, {n}], got {blocks}")
-    seeds = rng.choice(n, size=blocks, replace=False)
+    pixel labeled by its nearest seed (ties: lowest seed index).
+
+    ``height`` and ``width`` are integers >= 1, ``blocks`` one in
+    [1, height·width].
+    """
+    height, width = check_count("height", height), check_count("width", width)
+    blocks = check_count("blocks", blocks, 1, height * width)
+    seeds = rng.choice(height * width, size=blocks, replace=False)
     sy, sx = divmod(seeds, width)
     yy = np.arange(height)[:, None]
     xx = np.arange(width)[None, :]
@@ -419,17 +407,16 @@ def gradient_check(
     is symmetric). Errors are relative with a denominator floor of 1.
     Returns {"max_rel_err", "adjoint_err", "pass"}; pass requires
     max_rel_err <= 1e-4 and adjoint_err <= 1e-6.
+
+    ``channels``, ``height`` and ``width`` are integers >= 1, ``blocks``
+    and ``stages`` integers in [1, height·width], and ``seed`` an
+    integer >= 0; anything else raises ``ValueError`` naming it.
     """
-    _require_integers(
-        channels=channels, height=height, width=width, blocks=blocks, stages=stages,
-        seed=seed,
-    )
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages}")
-    if not 1 <= blocks <= height * width:
-        raise ValueError(
-            f"blocks must be in [1, {height * width}], got {blocks}"
-        )
+    channels = check_count("channels", channels)
+    height, width = check_count("height", height), check_count("width", width)
+    blocks = check_count("blocks", blocks, 1, height * width)
+    stages = check_count("stages", stages, 1, height * width)
+    seed = check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     shape = (channels, height, width)
     x = _quantized(rng, shape)

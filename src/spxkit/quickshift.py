@@ -31,11 +31,10 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core import SuperpixelPartition, check_lab_image, relabel_contiguous
+from .core import SuperpixelPartition, check_count, check_lab_image, relabel_contiguous
 
 __all__ = ["QuickShiftParams", "quickshift_match_scale", "quickshift_segment"]
 
@@ -372,8 +371,7 @@ def quickshift_match_scale(
     segment each sigma once. The sweep always starts at
     ``params.sigma``, so repeated sigmas are equal floats.
     """
-    if not isinstance(target_blocks, Integral) or target_blocks < 1:
-        raise ValueError(f"target_blocks must be an integer >= 1, got {target_blocks}")
+    check_count("target_blocks", target_blocks)
     if memo is None:
         memo = {}
     ladder = [params.sigma]

@@ -16,11 +16,16 @@ component pairs and no Python object per component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core import SuperpixelPartition, check_lab_image, check_label_map, relabel_contiguous
+from .core import (
+    SuperpixelPartition,
+    check_count,
+    check_lab_image,
+    check_label_map,
+    relabel_contiguous,
+)
 
 __all__ = ["SlicParams", "enforce_connectivity", "slic_segment"]
 
@@ -49,10 +54,7 @@ class SlicParams:
     compactness: float = 10.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_superpixels, Integral) or self.num_superpixels < 1:
-            raise ValueError(
-                f"num_superpixels must be an integer >= 1, got {self.num_superpixels}"
-            )
+        check_count("num_superpixels", self.num_superpixels)
         # slic_segment squares it, so the square must be finite too;
         # comparisons that fail on NaN refuse NaN.
         c = self.compactness
@@ -365,8 +367,7 @@ def enforce_connectivity(
     member ring and a settled component is never a neighbour of a walked
     set before its turn.
     """
-    if not isinstance(min_size, Integral) or min_size < 1:
-        raise ValueError(f"min_size must be an integer >= 1, got {min_size!r}")
+    check_count("min_size", min_size)
     comp, ncomp = _components_first_appearance(check_label_map(raw_labels))
     sizes = np.bincount(comp.ravel(), minlength=ncomp)
     rows, cols, counts = _border_adjacency(comp, ncomp)

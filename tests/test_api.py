@@ -2,6 +2,7 @@
 
 import importlib
 from dataclasses import fields
+from pathlib import Path
 
 import spxkit
 from spxkit import SlicParams, SuperpixelPartition
@@ -22,3 +23,10 @@ def test_slic_params_has_only_the_knobs_callers_set():
 
 def test_partition_stores_only_its_labels():
     assert [f.name for f in fields(SuperpixelPartition)] == ["labels"]
+
+
+def test_only_core_checks_integer_type():
+    """Every other module checks a count through ``core.check_count``."""
+    modules = Path(spxkit.__file__).parent.glob("*.py")
+    users = sorted(p.name for p in modules if "Integral" in p.read_text())
+    assert users == ["core.py"]

@@ -608,6 +608,24 @@ def test_module_invocation_smoke():
     assert json.loads(result.stdout)["pass"] is True
 
 
+def test_gradcheck_huge_stage_count_exits_1_at_once():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "spxkit", "gradcheck", "--channels", "1", "--height", "2",
+         "--width", "2", "--blocks", "1", "--seed", "0", "--scales", str(2**62)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: stages must be an integer in [1, 4]")
+
+
 @pytest.mark.parametrize(
     "flags, code, err_start",
     [

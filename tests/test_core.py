@@ -14,6 +14,7 @@ from spxkit import (
     relabel_contiguous,
     validate_partition,
 )
+from spxkit.core import check_count
 
 
 def make_partition(labels):
@@ -199,6 +200,32 @@ class TestBlockPlan:
         index = part.labels.ravel().astype(np.intp)
         assert np.array_equal(members.indices, np.argsort(index, kind="stable"))
         assert np.array_equal(np.diff(members.indptr), part.block_sizes)
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [3, 7, np.int64(3), np.uint8(7), np.int32(5)])
+    def test_integers_in_range_come_back_as_int(self, value):
+        got = check_count("n", value, 3, 7)
+        assert got == value
+        assert type(got) is int
+
+    def test_no_upper_bound_by_default(self):
+        assert check_count("n", 2**70) == 2**70
+        assert check_count("n", np.uint64(2**64 - 1), 0) == 2**64 - 1
+
+    @pytest.mark.parametrize("value", [2.0, "2", None, float("nan"), np.float64(4.0)])
+    def test_non_integers_refused_by_name(self, value):
+        with pytest.raises(ValueError, match=r"^tiles must be an integer in \[1, 9\], got "):
+            check_count("tiles", value, 1, 9)
+
+    @pytest.mark.parametrize("value, low, high", [
+        (0, 1, None), (-1, 0, None), (np.int64(2), 3, 7), (8, 3, 7),
+        (np.uint64(2**63), 1, 2**63 - 1),
+    ])
+    def test_out_of_range_refused_by_name(self, value, low, high):
+        bound = f">= {low}" if high is None else rf"in \[{low}, {high}\]"
+        with pytest.raises(ValueError, match=rf"^tiles must be an integer {bound}, got "):
+            check_count("tiles", value, low, high)
 
 
 class TestMspConfig:

@@ -65,6 +65,13 @@ class TestConfusionMatrix:
         cm = confusion_matrix(PRED_14, GT_14, np.int64(2))
         assert np.array_equal(cm, confusion_matrix(PRED_14, GT_14, 2))
 
+    def test_unsigned_class_count_keeps_integer_arithmetic(self):
+        # g * np.uint64(n) on int64 ids would promote to float64.
+        cm = confusion_matrix(PRED_14, GT_14, np.uint64(2))
+        assert np.array_equal(cm, confusion_matrix(PRED_14, GT_14, 2))
+        assert evaluate_segmentation(PRED_14, GT_14, np.uint64(2)) == \
+            evaluate_segmentation(PRED_14, GT_14, 2)
+
     @pytest.mark.parametrize(
         "score",
         [

@@ -234,6 +234,20 @@ class TestOperatorProperties:
         with pytest.raises(ValueError, match="seed must be an integer"):
             gradient_check(2, 4, 4, 2, seed=seed)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"channels": 0}, "channels must be an integer >= 1"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"stages": 5}, r"stages must be an integer in \[1, 4\]"),
+    ])
+    def test_out_of_range_counts_rejected_by_name(self, bad, message):
+        counts = {"channels": 1, "height": 2, "width": 2, "blocks": 1, "seed": 0, **bad}
+        with pytest.raises(ValueError, match=message):
+            gradient_check(**counts)
+
+    def test_zero_height_partition_rejected_by_name(self):
+        with pytest.raises(ValueError, match="height must be an integer >= 1"):
+            random_partition(0, 4, 1, np.random.default_rng(0))
+
     def test_block_means_shape(self):
         x, part = self.instance(c=2, k=4)
         means = block_means(x, part)
