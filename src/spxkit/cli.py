@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .color import srgb_to_lab
-from .core import AlgorithmError, relabel_contiguous
+from .core import AlgorithmError, check_count, relabel_contiguous
 from .core import validate_partition  # noqa: F401  perfbench/tracing.py wraps it here
 from .io import FormatError, read_mspt, read_ppm, render_overlay, write_mspt, write_ppm
 from .metrics import evaluate_segmentation, spx_boundary_recall, undersegmentation_error
@@ -33,12 +33,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count(name: str, low: int = 1):
+    """An argparse ``type`` for a count flag; its errors name the flag typed."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = text  # check_count refuses it, showing the text typed
+        try:
+            return check_count(name, value, low)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return count
+
+
 def _parse_scales(text: str) -> tuple[int, ...]:
-    try:
-        scales = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"scales must be a comma-separated integer list, got {text!r}")
-    return scales
+    return tuple(map(_count("every scale"), text.split(",")))
 
 
 def _add_superpixel_flags(parser: argparse.ArgumentParser) -> None:
@@ -68,7 +80,7 @@ def _add_cascade_flags(parser: argparse.ArgumentParser) -> None:
     _add_superpixel_flags(parser)
     parser.add_argument("--image", required=True, help="guidance image (binary PPM)")
     parser.add_argument(
-        "--scales", default=",".join(map(str, MspConfig.scales)),
+        "--scales", type=_parse_scales, default=",".join(map(str, MspConfig.scales)),
         help="comma-separated block counts, strictly increasing",
     )
     parser.add_argument(
@@ -86,21 +98,13 @@ def _segmenter(args, blocks: int | None) -> SlicParams | QuickShiftParams:
     return QuickShiftParams(sigma=args.sigma, tau=args.tau, color_ratio=args.ratio)
 
 
-def _cascade_config(args) -> MspConfig:
-    scales = _parse_scales(args.scales)
-    # Each stage replaces the SLIC template's block count with its scale.
-    return MspConfig(
-        alpha=args.alpha, scales=scales, segmenter=_segmenter(args, max(scales))
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="spxkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("superpixel", help="segment an image into superpixels")
     _add_superpixel_flags(p)
-    p.add_argument("--lambda", dest="num_superpixels", type=int, default=None,
+    p.add_argument("--lambda", dest="num_superpixels", type=_count("blocks"), default=None,
                    help="target block count (required for slic)")
     p.add_argument("input", help="input image (binary PPM)")
     p.add_argument("-o", "--output", required=True,
@@ -130,10 +134,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("metrics", help="compare predicted labels to ground truth")
     p.add_argument("--pred", required=True, help="predicted labels (MSPT u32 [H,W])")
     p.add_argument("--gt", required=True, help="ground-truth labels (MSPT u32 [H,W])")
-    p.add_argument("--classes", type=int, required=True, help="number of classes")
+    p.add_argument("--classes", type=_count("num_classes"), required=True,
+                   help="number of classes")
     p.add_argument("--ignore", type=int, default=255,
                    help="gt label to skip (default: 255)")
-    p.add_argument("--boundary-tol", type=int, default=2,
+    p.add_argument("--boundary-tol", type=_count("tolerance_px", 0), default=2,
                    help="boundary match tolerance in pixels (default: 2)")
     p.set_defaults(handler=_cmd_metrics)
 
@@ -142,17 +147,15 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", required=True,
                    help="superpixel labels (MSPT u32 [H,W])")
     p.add_argument("--gt", required=True, help="ground-truth labels (MSPT u32 [H,W])")
-    p.add_argument("--tol", type=int, default=2,
+    p.add_argument("--tol", type=_count("tolerance_px", 0), default=2,
                    help="boundary recall tolerance in pixels (default: 2)")
     p.set_defaults(handler=_cmd_spx_eval)
 
     p = sub.add_parser("gradcheck",
                        help="verify the analytic backward pass on a seeded fixture")
-    p.add_argument("--channels", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    for name in ("channels", "height", "width", "blocks"):
+        p.add_argument(f"--{name}", type=_count(name), required=True)
+    p.add_argument("--seed", type=_count("seed", 0), required=True)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--scales", type=int, default=1,
                    help="number of cascade stages (default: 1)")
@@ -166,6 +169,7 @@ def _cmd_superpixel(args) -> int:
     lab = srgb_to_lab(image)
     spec = _segmenter(args, args.num_superpixels)
     if isinstance(spec, SlicParams):
+        check_count("--lambda", spec.num_superpixels, 1, image.shape[0] * image.shape[1])
         partition = slic_segment(lab, spec)
     elif args.num_superpixels is not None:
         partition = quickshift_match_scale(lab, spec, args.num_superpixels)
@@ -189,19 +193,28 @@ def _read_tensor(path: str, ndim: int, dtype: type) -> np.ndarray:
     return arr
 
 
-def _cmd_msp_apply(args) -> int:
-    config = _cascade_config(args)
+def _cascade_inputs(args, path: str) -> tuple[MspConfig, np.ndarray, np.ndarray]:
+    """The cascade's settings, guidance image and float32 [C,H,W] map at ``path``."""
+    # Each stage replaces the SLIC template's block count with its scale.
+    segmenter = _segmenter(args, max(args.scales))
+    config = MspConfig(alpha=args.alpha, scales=args.scales, segmenter=segmenter)
     image = read_ppm(args.image)
-    features = _read_tensor(args.features, 3, np.float32)
+    tensor = _read_tensor(path, 3, np.float32)
+    if args.algo == "slic":  # one block per pixel at most
+        pixels = image.shape[0] * image.shape[1]
+        check_count("every --scales value", max(args.scales), 1, pixels)
+    return config, image, tensor
+
+
+def _cmd_msp_apply(args) -> int:
+    config, image, features = _cascade_inputs(args, args.features)
     out, _ = cascade_forward(features, image, config)
     write_mspt(out, args.output)
     return 0
 
 
 def _cmd_refine(args) -> int:
-    config = _cascade_config(args)
-    image = read_ppm(args.image)
-    probs = _read_tensor(args.probs, 3, np.float32)
+    config, image, probs = _cascade_inputs(args, args.probs)
     labels = refine_probabilities(probs, image, config)
     write_mspt(labels, args.output)
     return 0
@@ -231,6 +244,7 @@ def _cmd_spx_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    check_count("--scales", args.scales, 1, args.height * args.width)
     result = gradient_check(
         channels=args.channels,
         height=args.height,

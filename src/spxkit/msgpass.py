@@ -14,10 +14,11 @@ feature resolution by per-cell majority vote.
 
 All arithmetic accumulates in float64 in a fixed row-major order, so
 results are bit-reproducible run to run. A pass or a whole cascade runs
-channel by channel: all stages of one channel run, each rounded to the
-output dtype, before the next channel starts, so the scratch beside one
-output is O(H*W). Block sums are one sparse product per channel with the
-partition's cached CSR membership matrix (see
+channel by channel: all stages of one channel run, each rounded through
+that channel of the C-order output, before the next channel starts.
+Beside the output, a pass keeps one float64 row and one message row,
+each one channel long: O(H*W). Block sums are one sparse product per
+channel with the partition's cached CSR membership matrix (see
 :class:`~spxkit.core.SuperpixelPartition`): a CSR row is summed from 0.0
 over its entries in ascending column order, which is the row-major pixel
 order in which ``np.bincount(labels, weights=row)`` accumulates, and
@@ -104,19 +105,14 @@ def _block_sums(row: np.ndarray, plan, c: int) -> np.ndarray:
     return sums
 
 
-def _channel_means(x: np.ndarray, partition: SuperpixelPartition):
-    """Yield each channel's block means, float64."""
-    plan = partition._plan
-    for c in range(x.shape[0]):
-        yield _block_sums(x[c].ravel().astype(np.float64), plan, c) / plan.sizes
-
-
 def block_means(
     features: np.ndarray, partition: SuperpixelPartition
 ) -> np.ndarray:
     """Per-block channel means, shape (C, num_blocks), float64."""
     x = _check_pair(features, partition)
-    return np.array(list(_channel_means(x, partition)))
+    plan = partition._plan
+    return np.array([_block_sums(xc.ravel().astype(np.float64), plan, c) / plan.sizes
+                     for c, xc in enumerate(x)])
 
 
 def mean_map(features: np.ndarray, partition: SuperpixelPartition) -> np.ndarray:
@@ -136,20 +132,20 @@ def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
         x = _check_pair(features, part)
     _check_alpha(alpha)
     plans = [part._plan for part in partitions]
-    out, kept = np.empty_like(x), np.empty(x[0].size, x.dtype)
-    row, message = np.empty(kept.size), np.empty(kept.size)
+    out = np.empty(x.shape, x.dtype)  # C order, so each channel is one flat row
+    flat = out.reshape(x.shape[0], -1)
+    row, message = np.empty(flat.shape[1]), np.empty(flat.shape[1])
     try:
         with np.errstate(over="raise"):
             for c in range(x.shape[0]):
-                kept.reshape(x.shape[1:])[...] = x[c]
+                out[c] = x[c]
                 for plan in plans:
-                    row[...] = kept
+                    row[...] = flat[c]
                     means = _block_sums(row, plan, c) / plan.sizes
                     # "clip" gathers into message directly; no index is out of range.
                     np.take(alpha * means, plan.index, out=message, mode="clip")
                     row += message
-                    kept[...] = row  # this stage's output, in the input dtype
-                out[c] = kept.reshape(x.shape[1:])
+                    flat[c] = row  # this stage's output, in the input dtype
     except FloatingPointError:
         raise ValueError(
             f"message passing overflows the {x.dtype} output: "

@@ -310,22 +310,6 @@ def _border_adjacency(
     return rows, cols, counts
 
 
-def _first_longest_border(
-    rows: np.ndarray, cols: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per nonempty row: the column with the largest count, ties to the smallest.
-
-    Entries must be sorted by (row, column). Returns (row ids, columns).
-    """
-    if not rows.size:
-        return rows, cols
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    longest = np.maximum.reduceat(counts, starts)
-    hit = np.flatnonzero(counts == np.repeat(longest, np.diff(np.r_[starts, rows.size])))
-    first = hit[np.r_[True, rows[hit[1:]] != rows[hit[:-1]]]]
-    return rows[first], cols[first]
-
-
 def enforce_connectivity(
     raw_labels: np.ndarray, min_size: int
 ) -> SuperpixelPartition:
@@ -355,8 +339,8 @@ def enforce_connectivity(
     first neighbour of ``r`` to move is a lower-id component that also
     started below ``min_size``. So a small component with no such
     neighbour ("settled") reaches its turn with its original size and
-    adjacency, and all settled targets come at once from a segment max
-    over their CSR rows. Nor does any merge touch a settled component
+    adjacency, and all settled targets come at once from one stable
+    lexsort of their CSR rows. Nor does any merge touch a settled component
     before its turn: a merging set's members all started small and none
     has a higher id than the set's root. So settled merges are entered
     up front, each into its target's member ring, and only the other
@@ -377,8 +361,13 @@ def enforce_connectivity(
     walked = np.zeros(ncomp, dtype=bool)
     walked[rows[(cols < rows) & small[cols]]] = True
     walked &= small
+    # First entry of each settled row in (row, -count) order: the stable
+    # lexsort keeps ties in ascending column order, as the majority vote does.
     pick = (small & ~walked)[rows]
-    settled, targets = _first_longest_border(rows[pick], cols[pick], counts[pick])
+    own = rows[pick]
+    first = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])[: own.size]
+    best = np.lexsort((-counts[pick], own))[first]
+    settled, targets = own[best], cols[pick][best]
     parent = np.arange(ncomp)
     parent[settled] = targets
     np.add.at(sizes, targets, sizes[settled])

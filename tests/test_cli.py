@@ -623,7 +623,45 @@ def test_gradcheck_huge_stage_count_exits_1_at_once():
         capture_output=True, text=True, env=env, timeout=10,
     )
     assert result.returncode == 1
-    assert result.stderr.startswith("error: stages must be an integer in [1, 4]")
+    assert result.stderr.startswith("error: --scales must be an integer in [1, 4]")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gradcheck", "--channels", "1", "--height", "2", "--width", "2", "--blocks", "1",
+          "--seed", "0", "--scales", "5"], "--scales"),
+        (["msp-apply", "--image", "{img}", "--features", "{map}", "--scales", "0",
+          "-o", "{out}"], "--scales"),
+        # SLIC makes at most one block per pixel: 16 here.
+        (["msp-apply", "--image", "{img}", "--features", "{map}", "--scales", "4,17",
+          "-o", "{out}"], "--scales"),
+        (["refine", "--image", "{img}", "--probs", "{map}", "--scales", "0",
+          "-o", "{out}"], "--scales"),
+        (["superpixel", "--algo", "slic", "--lambda", "0", "{img}", "-o", "{out}"],
+         "--lambda"),
+        (["superpixel", "--algo", "quickshift", "--lambda", "0", "{img}", "-o", "{out}"],
+         "--lambda"),
+        (["superpixel", "--algo", "slic", "--lambda", "17", "{img}", "-o", "{out}"],
+         "--lambda"),
+        (["metrics", "--pred", "{labels}", "--gt", "{labels}", "--classes", "0"],
+         "--classes"),
+        (["metrics", "--pred", "{labels}", "--gt", "{labels}", "--classes", "2",
+          "--boundary-tol", "-1"], "--boundary-tol"),
+        (["spx-eval", "--labels", "{labels}", "--gt", "{labels}", "--tol", "-1"], "--tol"),
+    ],
+)
+def test_count_error_names_the_flag_typed(capsys, tmp_path, argv, flag):
+    paths = {name: str(tmp_path / name) for name in ("img", "map", "labels", "out")}
+    write_ppm(np.full((4, 4, 3), 90, np.uint8), paths["img"])
+    write_mspt(np.full((2, 4, 4), 0.5, np.float32), paths["map"])
+    write_mspt(np.eye(4, dtype=np.uint32), paths["labels"])
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert out == ""
+    # The last line is the error; argparse's usage line above it lists every flag.
+    assert flag in err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -307,6 +307,20 @@ def test_cascade_at_workload_scale_matches_oracle():
     assert np.array_equal(grad, _oracle_cascade(g, parts[::-1], 0.1))
 
 
+@pytest.mark.parametrize("layout", ["transposed", "sliced"])
+def test_cascade_on_a_strided_map_returns_c_order(layout):
+    rng = np.random.default_rng(8)
+    parts = [msgpass.random_partition(20, 13, k, rng) for k in (3, 7, 19)]
+    if layout == "transposed":
+        x = rng.standard_normal((4, 13, 20), dtype=np.float32).transpose(0, 2, 1)
+    else:
+        x = rng.standard_normal((5, 40, 27), dtype=np.float32)[1:, ::2, 1::2]
+    assert x.shape == (4, 20, 13) and not x.flags.c_contiguous
+    out = msgpass.cascade_apply(x, parts, 0.3)
+    assert out.dtype == np.float32 and out.flags.c_contiguous
+    assert np.array_equal(out, _oracle_cascade(x, parts, 0.3))
+
+
 def test_hand_built_label_layouts_match_oracle():
     # A transposed int64 view and a uint32 copy of the same labels.
     rng = np.random.default_rng(6)
