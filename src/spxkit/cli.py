@@ -223,6 +223,7 @@ def _cmd_refine(args) -> int:
 def _cmd_metrics(args) -> int:
     pred = _read_tensor(args.pred, 2, np.uint32).astype(np.int64)
     gt = _read_tensor(args.gt, 2, np.uint32).astype(np.int64)
+    check_count("--classes", args.classes, 1, np.iinfo(np.int64).max)
     report = evaluate_segmentation(
         pred, gt, args.classes, args.ignore, args.boundary_tol
     )
@@ -244,6 +245,7 @@ def _cmd_spx_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    check_count("--blocks", args.blocks, 1, args.height * args.width)
     check_count("--scales", args.scales, 1, args.height * args.width)
     result = gradient_check(
         channels=args.channels,

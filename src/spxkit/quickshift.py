@@ -120,17 +120,20 @@ def _window(h: int, w: int, radii: list[int], pad: int) -> list:
     rows on each side (see ``_parents``); ``held`` lists the indices of
     the radii that hold the offset."""
     radius = max(radii)
+    # by_ring[m]: the radii indices that hold ring m, shared by its offsets.
+    by_ring = [[k for k, r in enumerate(radii) if m <= r] for m in range(radius + 1)]
     window = []
     for dy in range(-radius, radius + 1):
         y0, y1 = max(0, -dy), h - max(0, dy)
+        if y0 >= y1:
+            continue
+        run = slice((y0 + pad) * w, (y1 + pad) * w)
         for dx in range(-radius, radius + 1):
             x0, x1 = max(0, -dx), w - max(0, dx)
-            if y0 < y1 and x0 < x1:
-                run = slice((y0 + pad) * w, (y1 + pad) * w)
+            if x0 < x1:
                 step = dy * w + dx
                 nbr = slice(run.start + step, run.stop + step)
-                held = [k for k, r in enumerate(radii) if max(abs(dy), abs(dx)) <= r]
-                window.append((dy, dx, x0, x1, run, nbr, held))
+                window.append((dy, dx, x0, x1, run, nbr, by_ring[max(abs(dy), abs(dx))]))
     return window
 
 

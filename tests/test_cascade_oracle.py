@@ -13,6 +13,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_msgpass_oracle import feature_cases, partitions
@@ -66,18 +67,32 @@ def cascade_cases(draw):
     return x, [first] + [draw(partitions(h, w)) for _ in range(draw(st.integers(0, 3)))]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    case=cascade_cases(),
-    alpha=st.one_of(st.just(0.0), st.floats(0.0, 4.0, allow_nan=False)),
-)
-def test_cascade_apply_and_backward_match_chain(case, alpha):
-    x, parts = case
+ALPHAS = st.one_of(st.just(0.0), st.floats(0.0, 4.0, allow_nan=False))
+
+
+def check_cascades_against_chain(x, parts, alpha):
     got = attempt(lambda: msgpass.cascade_apply(x, parts, alpha))
     assert_matches_chain(got, oracle_chain(x, parts, alpha))
     trace = msgpass.CascadeTrace(stages=tuple((i + 1, p) for i, p in enumerate(parts)))
     got = attempt(lambda: msgpass.cascade_backward(x, trace, alpha))
     assert_matches_chain(got, oracle_chain(x, parts[::-1], alpha))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cascade_cases(), alpha=ALPHAS)
+def test_cascade_apply_and_backward_match_chain(case, alpha):
+    check_cascades_against_chain(*case, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cascade_cases(), alpha=ALPHAS)
+def test_cascades_split_over_two_threads_match_chain(case, alpha):
+    # Every map of 2 or more channels takes the two-thread split here,
+    # however small, and must still equal the chain bit for bit.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(msgpass, "_THREAD_MIN_PIXELS", 1)
+        mp.setattr(msgpass, "_usable_cpus", lambda: 2)
+        check_cascades_against_chain(*case, alpha)
 
 
 @st.composite

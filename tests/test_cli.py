@@ -649,6 +649,11 @@ def test_gradcheck_huge_stage_count_exits_1_at_once():
         (["metrics", "--pred", "{labels}", "--gt", "{labels}", "--classes", "2",
           "--boundary-tol", "-1"], "--boundary-tol"),
         (["spx-eval", "--labels", "{labels}", "--gt", "{labels}", "--tol", "-1"], "--tol"),
+        # Past int64, and more blocks than the 3 x 3 grid's pixels.
+        (["metrics", "--pred", "{labels}", "--gt", "{labels}", "--classes",
+          "10000000000000000000"], "--classes"),
+        (["gradcheck", "--channels", "1", "--height", "3", "--width", "3", "--blocks", "10",
+          "--seed", "0"], "--blocks"),
     ],
 )
 def test_count_error_names_the_flag_typed(capsys, tmp_path, argv, flag):

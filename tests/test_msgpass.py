@@ -1,5 +1,6 @@
 import functools
 import importlib
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -461,6 +462,87 @@ class TestCascade:
         cascade_backward(g, CascadeTrace(stages=tuple(zip((3, 6, 9), parts))), 0.1)
         assert calls == [[id(p) for p in parts], [id(p) for p in parts[::-1]]]
         assert [id(p) for p in built] == [id(p) for p in parts]
+
+
+class TestTwoThreads:
+    @pytest.fixture
+    def split(self, monkeypatch):
+        # Every map of 2 or more channels splits, however small.
+        monkeypatch.setattr(msgpass_module, "_THREAD_MIN_PIXELS", 1)
+        monkeypatch.setattr(msgpass_module, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        return started
+
+    def test_lower_half_error_is_raised_first(self, split, starts):
+        # Channel 0 (the calling thread's) overflows float32 at the second
+        # stage; channel 1 (the worker's) holds a NaN, found at once.
+        x = np.full((2, 2, 2), 2e38, dtype=np.float32)
+        x[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="overflows the float32 output"):
+            cascade_apply(x, [ONE_BLOCK, ONE_BLOCK], 0.5)
+        assert len(starts) == 1
+
+    def test_upper_half_error_alone_is_raised(self, split, starts):
+        x = np.ones((3, 2, 2), dtype=np.float32)
+        x[2, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            cascade_apply(x, [ONE_BLOCK, COLUMNS], 0.5)
+        x[2, 1, 1] = 3e38
+        with pytest.raises(ValueError, match="overflows the float32 output"):
+            message_pass(x, ONE_BLOCK, 4.0)
+        assert len(starts) == 2
+
+    def test_worker_raises_on_float16_overflow(self, split, starts):
+        # numpy's error state is per thread: a worker without its own
+        # would store inf in channel 1.
+        x = np.ones((2, 2, 2), dtype=np.float16)
+        x[1] = 65000.0
+        with pytest.raises(ValueError, match="overflows the float16 output"):
+            message_pass(x, ONE_BLOCK, 0.1)
+        assert len(starts) == 1
+
+    @pytest.mark.parametrize(
+        "shape, cpus, threads",
+        [((64, 256, 256), {0, 1}, 1), ((64, 64, 64), {0, 1}, 0), ((19, 24, 24), {0, 1}, 0),
+         ((1, 256, 256), {0, 1}, 0), ((64, 256, 256), {1}, 0)],
+    )
+    def test_one_thread_starts_only_for_large_maps(self, monkeypatch, starts, shape, cpus, threads):
+        monkeypatch.setattr(msgpass_module.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        part = relabel_contiguous(np.arange(shape[1] * shape[2]).reshape(shape[1:]) // 7)
+        x = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+        out = message_pass(x, part, 0.2)
+        assert len(starts) == threads
+        assert not any(t.is_alive() for t in starts)
+        assert out.shape == shape
+
+    def test_split_equals_one_cpu_at_full_size(self, monkeypatch, starts):
+        rng = np.random.default_rng(14)
+        parts = [random_partition(150, 150, k, rng) for k in (40, 90)]
+        x = rng.standard_normal((5, 150, 150)).astype(np.float32)
+        outs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(msgpass_module.os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            outs.append(cascade_apply(x, parts, 0.7))
+        assert np.array_equal(*outs)
+        assert len(starts) == 1
+
+    def test_cpu_count_stands_in_for_a_missing_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(msgpass_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(msgpass_module.os, "cpu_count", lambda: 3)
+        assert msgpass_module._usable_cpus() == 3
+        monkeypatch.setattr(msgpass_module.os, "cpu_count", lambda: None)
+        assert msgpass_module._usable_cpus() == 1
 
 
 class TestRefineProbabilities:
