@@ -10,21 +10,29 @@ operator itself applied to the upstream gradient.
 The multiscale form chains single-scale passes over partitions of
 strictly increasing block count (large blocks first), generating
 superpixels from the full-resolution image and mapping them down to
-feature resolution by per-cell majority vote.
+feature resolution by per-cell majority vote. A cascade's SLIC scales
+are independent runs: with 2 or more scales, an image of at least
+``_SLIC_THREAD_MIN_PIXELS`` pixels and 2 or more usable CPUs, one extra
+thread runs the upper half of the scales while the calling thread runs
+the lower half. Two runs at once hold two runs' scratch, about
+54 B/pixel each beside the shared Lab image. Quick Shift's scales share
+one sigma sweep on the calling thread.
 
 All arithmetic accumulates in float64 in a fixed row-major order, so
 results are bit-reproducible run to run. A pass or a whole cascade runs
 channel by channel: all stages of one channel run, each rounded through
 that channel of the C-order output, before the next channel starts.
 A map of 2 or more channels of at least ``_THREAD_MIN_PIXELS`` pixels
-each, in a process whose CPU affinity allows 2 or more CPUs, runs its
-upper half of channels on one extra thread while the calling thread
-runs the lower half; a channel's arithmetic does not depend on the
-thread, so outputs do not either. ``taskset`` or a cpuset limits the
-threads through the affinity mask. Beside the output, each running
-thread, at most two, keeps one float64 row and one message row, each
-one channel long: O(H*W). Block sums are one sparse product per
-channel with the partition's cached CSR membership matrix (see
+each, holding at least three times that many values, runs its upper
+half of channels on one extra thread while the calling thread runs the
+lower half. Neither split changes any arithmetic, so outputs do not
+depend on the thread, and a lower half's error is raised before an
+upper half's. Both need 2 or more CPUs in the process's affinity mask,
+so ``taskset`` or a cpuset keeps every step on the calling thread.
+Beside the output, each running thread, at most two, keeps one float64
+row and one message row, each one channel long: O(H*W). Block sums are
+one sparse product per channel with the partition's cached CSR
+membership matrix (see
 :class:`~spxkit.core.SuperpixelPartition`): a CSR row is summed from 0.0
 over its entries in ascending column order, which is the row-major pixel
 order in which ``np.bincount(labels, weights=row)`` accumulates, and
@@ -79,13 +87,23 @@ __all__ = [
 ]
 
 # _stages splits a map's channels over two threads when each channel
-# has at least this many pixels. Per call of a 3-stage pass over 64
-# float32 channels (medians of 11 on a 2-core Xeon), two threads took
-# 1.92x one thread's time at 64^2, 1.04-1.17x at 128^2 (16,384 pixels),
-# 0.92x at 128x144 (18,432), 0.87-0.92x at 128x160 (20,480), 0.78x at
-# 160^2 and 0.58x at 256^2. With 2-8 channels the thread's start weighs
-# more: 1.1-1.4x at 20,480 pixels, at most 0.3 ms a call.
+# has at least _THREAD_MIN_PIXELS pixels and the map at least three
+# times that many values. Per call of a 3-stage pass over 64 float32
+# channels (medians of 11 on a 2-core Xeon), two threads took 1.92x one
+# thread's time at 64^2, 1.04-1.17x at 128^2 (16,384 pixels), 0.92x at
+# 128x144, 0.87-0.92x at 128x160 (20,480) and 0.58x at 256^2. Few
+# channels pay more for the start (medians of 41, twice): at 128x160,
+# 2 channels took 1.07-1.08x and 4 took 1.00-1.06x; at 160^2,
+# 2 channels 0.91-0.93x; at 192^2, 2 channels 0.79-0.86x.
 _THREAD_MIN_PIXELS = 20_000
+
+# _segment_scales runs a cascade's SLIC scales on two threads from this
+# many image pixels. Per call of scales 200, 300 and 400 on Voronoi
+# scenes (medians of 11-15, same machine), two threads took 1.32x one
+# thread's time at 96^2, 1.14-1.17x at 128^2, 1.08-1.09x at 144^2,
+# 0.97-1.02x at 160^2, 0.95-0.96x at 176^2, 0.90-0.91x at 192^2 and
+# 0.82x at 256^2.
+_SLIC_THREAD_MIN_PIXELS = 160 * 160
 
 
 def _check_alpha(alpha: float) -> None:
@@ -150,14 +168,39 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _on_two_threads(lower, upper) -> None:
+    """Call ``upper`` on one extra thread and ``lower`` on the calling thread.
+
+    Both run to the end. ``lower``'s error is raised before ``upper``'s,
+    so a split job fails as it would when run lower half first.
+    """
+    fault = []
+
+    def guarded() -> None:
+        try:
+            upper()
+        except BaseException as err:
+            fault.append(err)
+
+    worker = threading.Thread(target=guarded)
+    worker.start()
+    try:
+        lower()
+    finally:
+        worker.join()
+    if fault:
+        raise fault[0]
+
+
 def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
     """Single-scale passes over ``partitions`` in order, channel by channel;
     each stage's float64 result is rounded to the input dtype, as one pass stores it.
 
     A map of 2 or more channels of ``_THREAD_MIN_PIXELS`` or more pixels,
-    on 2 or more usable CPUs, runs its upper half of channels on one
-    extra thread. Each channel's arithmetic is unchanged, and the lower
-    half's error is raised before the upper half's, as in channel order.
+    holding 3 * ``_THREAD_MIN_PIXELS`` or more values, on 2 or more
+    usable CPUs, runs its upper half of channels on one extra thread.
+    Each channel's arithmetic is unchanged, and the lower half's error
+    is raised before the upper half's, as in channel order.
     """
     for part in partitions:
         x = _check_pair(features, part)
@@ -181,27 +224,15 @@ def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
                     flat[c] = row  # this stage's output, in the input dtype
 
     try:
-        if channels >= 2 and pixels >= _THREAD_MIN_PIXELS and _usable_cpus() >= 2:
+        if (channels >= 2 and pixels >= _THREAD_MIN_PIXELS
+                and channels * pixels >= 3 * _THREAD_MIN_PIXELS and _usable_cpus() >= 2):
             mid = (channels + 1) // 2
             # The calling thread allocates the upper half's buffers too: made
             # in the worker, they came from a new malloc arena and raised the
             # peak RSS of a training step by 2.3 MiB.
-            upper_buffers, fault = (np.empty(pixels), np.empty(pixels)), []
-
-            def upper() -> None:
-                try:
-                    run(mid, channels, *upper_buffers)
-                except BaseException as err:
-                    fault.append(err)
-
-            worker = threading.Thread(target=upper)
-            worker.start()
-            try:
-                run(0, mid, np.empty(pixels), np.empty(pixels))
-            finally:
-                worker.join()
-            if fault:
-                raise fault[0]
+            upper = np.empty(pixels), np.empty(pixels)
+            _on_two_threads(lambda: run(0, mid, np.empty(pixels), np.empty(pixels)),
+                            lambda: run(mid, channels, *upper))
         else:
             run(0, channels, np.empty(pixels), np.empty(pixels))
     except FloatingPointError:
@@ -340,6 +371,36 @@ class MspConfig:
             )
 
 
+def _segment_scales(
+    lab: np.ndarray, segmenter: SlicParams | QuickShiftParams, scales: tuple[int, ...]
+) -> list[SuperpixelPartition]:
+    """Full-resolution partitions of ``lab``, one per scale, in scale order.
+
+    Quick Shift's scales share one sigma sweep on the calling thread:
+    each distinct sigma is segmented once. SLIC's scales are independent
+    runs: with 2 or more of them, an image of ``_SLIC_THREAD_MIN_PIXELS``
+    or more pixels and 2 or more usable CPUs, one extra thread runs the
+    upper half of the scales. Each run is unchanged, and a lower scale's
+    error is raised before an upper one's, as in scale order.
+    """
+    if isinstance(segmenter, QuickShiftParams):
+        memo: dict[float, SuperpixelPartition] = {}  # sigma -> partition
+        return [quickshift_match_scale(lab, segmenter, s, memo=memo) for s in scales]
+    parts: list = [None] * len(scales)
+
+    def run(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            parts[i] = slic_segment(lab, replace(segmenter, num_superpixels=scales[i]))
+
+    n = len(scales)
+    if n >= 2 and lab.shape[0] * lab.shape[1] >= _SLIC_THREAD_MIN_PIXELS and _usable_cpus() >= 2:
+        mid = (n + 1) // 2
+        _on_two_threads(lambda: run(0, mid), lambda: run(mid, n))
+    else:
+        run(0, n)
+    return parts
+
+
 def cascade_forward(
     features: np.ndarray, image: np.ndarray, config: MspConfig
 ) -> tuple[np.ndarray, CascadeTrace]:
@@ -359,15 +420,8 @@ def cascade_forward(
             f"feature map {x.shape[1:]} exceeds image resolution {img.shape[:2]}"
         )
     lab = srgb_to_lab(img)
-    parts = []
-    memo: dict[float, SuperpixelPartition] = {}  # Quick Shift sigma -> partition
-    for scale in config.scales:
-        if isinstance(config.segmenter, SlicParams):
-            spec = replace(config.segmenter, num_superpixels=scale)
-            part_full = slic_segment(lab, spec)
-        else:
-            part_full = quickshift_match_scale(lab, config.segmenter, scale, memo=memo)
-        parts.append(downsample_partition(part_full, h_f, w_f))
+    parts = [downsample_partition(part, h_f, w_f)
+             for part in _segment_scales(lab, config.segmenter, config.scales)]
     trace = CascadeTrace(stages=tuple(zip(config.scales, parts)))
     return _stages(x, parts, config.alpha), trace
 

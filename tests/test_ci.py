@@ -63,12 +63,14 @@ def test_spxkit_deprecation_warnings_fail_the_suite(category):
 
 
 def test_message_passing_tests_also_run_on_one_cpu():
-    # On a multi-core runner large maps take the two-thread path; a
-    # second run pinned to one CPU covers the one-thread path.
+    # On a multi-core runner large maps and a cascade's SLIC scales take
+    # their two-thread paths; a second run pinned to one CPU covers the
+    # one-thread paths.
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
     runs = [step.get("run") or "" for step in workflow["jobs"]["tests"]["steps"]]
     pinned = [run for run in runs if "taskset -c 0 python -m pytest" in run]
     assert len(pinned) == 1
-    for name in ("test_msgpass.py", "test_msgpass_oracle.py", "test_cascade_oracle.py"):
+    for name in ("test_msgpass.py", "test_msgpass_oracle.py", "test_cascade_oracle.py",
+                 "test_slic.py", "test_slic_oracle.py"):
         assert f"tests/{name}" in pinned[0].split()

@@ -1,11 +1,13 @@
 """Which scipy modules each CLI path loads, read in a fresh interpreter.
 
-scipy.ndimage and scipy.sparse make up most of a CLI call's start-up, so
-spxkit imports each one only in the call that needs it: SLIC labelling
-needs ndimage, a block-mean plan needs sparse, and the metrics, the
-scoring, Quick Shift and the overlays need neither.
+scipy.sparse makes up most of a CLI call's start-up, so spxkit imports
+it only in the call that needs it: SLIC's connectivity pass (through
+``scipy.sparse.csgraph``) and a block-mean plan need it, and the
+metrics, the scoring, Quick Shift and the overlays do not. No path
+loads scipy.ndimage.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -44,17 +46,22 @@ def files(tmp_path_factory):
     return d
 
 
-def scipy_loaded(argv):
+@functools.lru_cache(maxsize=None)
+def _probe(argv_json):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", PROBE, argv_json],
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["rc"] == 0, result.stderr
-    return set(report["scipy"])
+    return frozenset(report["scipy"])
+
+
+def scipy_loaded(argv):
+    return _probe(json.dumps(argv))  # each distinct call runs once per test run
 
 
 def cli_paths(d):
@@ -73,6 +80,9 @@ def cli_paths(d):
                                   "--vis-mode", "mean-color"],
         "superpixel-slic": ["superpixel", "--algo", "slic", "--lambda", "4", img,
                             "-o", str(d / "slic.mspt")],
+        "msp-apply-slic": ["msp-apply", "--algo", "slic", "--image", img,
+                           "--features", probs, "--scales", "2,4",
+                           "-o", str(d / "smoothed-slic.mspt")],
         "refine-quickshift": ["refine", *qs, "--image", img, "--probs", probs,
                               "--scales", "2,4", "-o", str(d / "refined.mspt")],
         "msp-apply-quickshift": ["msp-apply", *qs, "--image", img, "--features", probs,
@@ -87,10 +97,15 @@ def test_path_loads_no_scipy(files, path):
     assert scipy_loaded(cli_paths(files)[path]) == set()
 
 
-def test_slic_loads_ndimage_but_not_sparse(files):
-    mods = scipy_loaded(cli_paths(files)["superpixel-slic"])
-    assert "scipy.ndimage" in mods
-    assert "scipy.sparse" not in mods
+@pytest.mark.parametrize("path", ["superpixel-slic", "msp-apply-slic"])
+def test_slic_loads_sparse(files, path):
+    assert "scipy.sparse.csgraph" in scipy_loaded(cli_paths(files)[path])
+
+
+@pytest.mark.parametrize("path", sorted(cli_paths(Path("."))))
+def test_no_path_loads_ndimage(files, path):
+    # SLIC's components come from row runs and csgraph, not ndimage.label.
+    assert "scipy.ndimage" not in scipy_loaded(cli_paths(files)[path])
 
 
 @pytest.mark.parametrize("path", ["refine-quickshift", "msp-apply-quickshift"])

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import math
 import threading
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from spxkit import (
     CascadeTrace,
     MspConfig,
+    QuickShiftParams,
     SlicParams,
     SuperpixelPartition,
     block_means,
@@ -464,24 +466,30 @@ class TestCascade:
         assert [id(p) for p in built] == [id(p) for p in parts]
 
 
+@pytest.fixture
+def starts(monkeypatch):
+    """The threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(msgpass_module.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
 class TestTwoThreads:
     @pytest.fixture
     def split(self, monkeypatch):
         # Every map of 2 or more channels splits, however small.
         monkeypatch.setattr(msgpass_module, "_THREAD_MIN_PIXELS", 1)
         monkeypatch.setattr(msgpass_module, "_usable_cpus", lambda: 2)
-
-    @pytest.fixture
-    def starts(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def counting_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counting_start)
-        return started
 
     def test_lower_half_error_is_raised_first(self, split, starts):
         # Channel 0 (the calling thread's) overflows float32 at the second
@@ -514,10 +522,12 @@ class TestTwoThreads:
     @pytest.mark.parametrize(
         "shape, cpus, threads",
         [((64, 256, 256), {0, 1}, 1), ((64, 64, 64), {0, 1}, 0), ((19, 24, 24), {0, 1}, 0),
-         ((1, 256, 256), {0, 1}, 0), ((64, 256, 256), {1}, 0)],
+         ((1, 256, 256), {0, 1}, 0), ((64, 256, 256), {1}, 0),
+         # Few channels past the pixel floor also need 3x its values in all.
+         ((2, 128, 160), {0, 1}, 0), ((2, 160, 192), {0, 1}, 1), ((3, 128, 160), {0, 1}, 1)],
     )
     def test_one_thread_starts_only_for_large_maps(self, monkeypatch, starts, shape, cpus, threads):
-        monkeypatch.setattr(msgpass_module.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        set_cpus(monkeypatch, cpus)
         part = relabel_contiguous(np.arange(shape[1] * shape[2]).reshape(shape[1:]) // 7)
         x = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
         out = message_pass(x, part, 0.2)
@@ -531,8 +541,7 @@ class TestTwoThreads:
         x = rng.standard_normal((5, 150, 150)).astype(np.float32)
         outs = []
         for cpus in ({0, 1}, {0}):
-            monkeypatch.setattr(msgpass_module.os, "sched_getaffinity", lambda pid: cpus,
-                                raising=False)
+            set_cpus(monkeypatch, cpus)
             outs.append(cascade_apply(x, parts, 0.7))
         assert np.array_equal(*outs)
         assert len(starts) == 1
@@ -543,6 +552,61 @@ class TestTwoThreads:
         assert msgpass_module._usable_cpus() == 3
         monkeypatch.setattr(msgpass_module.os, "cpu_count", lambda: None)
         assert msgpass_module._usable_cpus() == 1
+
+
+class TestScaleSplit:
+    """A cascade's SLIC scales run on two threads from _SLIC_THREAD_MIN_PIXELS."""
+
+    @staticmethod
+    def forward(side, scales=(10, 20, 30), segmenter=SlicParams(1)):
+        # Blocky colours; one feature channel keeps message passing on one thread.
+        rng = np.random.default_rng(15)
+        cells = rng.integers(0, 256, (-(-side // 16), -(-side // 16), 3), dtype=np.uint8)
+        img = cells.repeat(16, axis=0).repeat(16, axis=1)[:side, :side]
+        x = rng.standard_normal((1, 4, 4)).astype(np.float32)
+        return cascade_forward(x, img, MspConfig(scales=scales, segmenter=segmenter))
+
+    def test_split_equals_one_cpu_run(self, monkeypatch, starts):
+        side = math.isqrt(msgpass_module._SLIC_THREAD_MIN_PIXELS - 1) + 1
+        runs = []
+        for cpus in ({0, 1}, {0}):
+            set_cpus(monkeypatch, cpus)
+            runs.append(self.forward(side))
+        assert len(starts) == 1  # the two-CPU run's, for the upper scale
+        assert not starts[0].is_alive()
+        (out2, trace2), (out1, trace1) = runs
+        assert np.array_equal(out2, out1)
+        assert [s for s, _ in trace2.stages] == [s for s, _ in trace1.stages] == [10, 20, 30]
+        for (_, a), (_, b) in zip(trace2.stages, trace1.stages):
+            assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # Quick Shift missing a scale
+    @pytest.mark.parametrize("case", ["one cpu", "one scale", "quickshift", "below"])
+    def test_no_thread_starts(self, monkeypatch, starts, case):
+        set_cpus(monkeypatch, {0} if case == "one cpu" else {0, 1})
+        side = math.isqrt(msgpass_module._SLIC_THREAD_MIN_PIXELS - 1) + 1
+        if case == "one scale":
+            self.forward(side, scales=(30,))
+        elif case == "quickshift":
+            monkeypatch.setattr(msgpass_module, "_SLIC_THREAD_MIN_PIXELS", 1)
+            self.forward(32, scales=(2, 4, 8), segmenter=QuickShiftParams(sigma=1.0, tau=3.0))
+        elif case == "below":
+            self.forward(side - 1)
+        else:
+            self.forward(side)
+        assert starts == []
+
+    @pytest.mark.parametrize(
+        "scales, bad",
+        [((1, 17, 18, 19), 17),  # scale 17 (caller) and 18 (worker) both fail
+         ((1, 2, 17), 17)],  # only the worker's scale fails
+    )
+    def test_error_of_the_lowest_failing_scale_is_raised(self, monkeypatch, starts, scales, bad):
+        monkeypatch.setattr(msgpass_module, "_SLIC_THREAD_MIN_PIXELS", 1)
+        set_cpus(monkeypatch, {0, 1})
+        with pytest.raises(ValueError, match=f"num_superpixels {bad} exceeds pixel count 16"):
+            self.forward(4, scales=scales)
+        assert len(starts) == 1
 
 
 class TestRefineProbabilities:

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,25 @@ class TestSlicSegment:
                 assert np.abs(ys - ys.mean()).max() <= 2 * s
                 assert np.abs(xs - xs.mean()).max() <= 2 * s
 
+
+    def test_scratch_memory_is_linear(self):
+        # 512^2 blocky colours with sigma = 4 noise at K = 400. A copy of the
+        # Lab planes beside x and y, kept through the connectivity pass,
+        # put the peak there at ~94 B/pixel. With views of the Lab planes
+        # and components from row runs, one assignment chunk beside the
+        # coordinates sets it, at ~54.
+        rng = np.random.default_rng(3)
+        cells = rng.integers(0, 256, (16, 16, 3)).astype(np.float64)
+        img = np.kron(cells, np.ones((32, 32, 1))) + rng.normal(0.0, 4.0, (512, 512, 3))
+        lab = srgb_to_lab(np.clip(img, 0, 255).astype(np.uint8))
+        slic_segment(lab[:32, :32], SlicParams(num_superpixels=4))  # imports out of the peak
+        tracemalloc.start()
+        try:
+            slic_segment(lab, SlicParams(num_superpixels=400))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 512 * 512, f"{peak / 512**2:.1f} B/pixel"
 
 class TestEnforceConnectivity:
     def test_orphan_absorbed(self):
