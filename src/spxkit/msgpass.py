@@ -11,10 +11,8 @@ The multiscale form chains single-scale passes over partitions of
 strictly increasing block count (large blocks first), generating
 superpixels from the full-resolution image and mapping them down to
 feature resolution by per-cell majority vote. A cascade's SLIC scales
-are independent runs: with 2 or more scales, an image of at least
-``_SLIC_THREAD_MIN_PIXELS`` pixels and 2 or more usable CPUs, one extra
-thread runs the upper half of the scales while the calling thread runs
-the lower half. Two runs at once hold two runs' scratch, about
+are independent runs, which may run on two threads (see
+``_THREAD_MIN_PIXELS``); two runs at once hold two runs' scratch, about
 54 B/pixel each beside the shared Lab image. Quick Shift's scales share
 one sigma sweep on the calling thread.
 
@@ -22,13 +20,9 @@ All arithmetic accumulates in float64 in a fixed row-major order, so
 results are bit-reproducible run to run. A pass or a whole cascade runs
 channel by channel: all stages of one channel run, each rounded through
 that channel of the C-order output, before the next channel starts.
-A map of 2 or more channels of at least ``_THREAD_MIN_PIXELS`` pixels
-each, holding at least three times that many values, runs its upper
-half of channels on one extra thread while the calling thread runs the
-lower half. Neither split changes any arithmetic, so outputs do not
-depend on the thread, and a lower half's error is raised before an
-upper half's. Both need 2 or more CPUs in the process's affinity mask,
-so ``taskset`` or a cpuset keeps every step on the calling thread.
+A large map's channels may run on two threads (see
+``_THREAD_MIN_PIXELS``). Neither split changes any arithmetic, so
+outputs, and the error raised, do not depend on the thread.
 Beside the output, each running thread, at most two, keeps one float64
 row and one message row, each one channel long: O(H*W). Block sums are
 one sparse product per channel with the partition's cached CSR
@@ -86,24 +80,27 @@ __all__ = [
     "refine_probabilities",
 ]
 
-# _stages splits a map's channels over two threads when each channel
-# has at least _THREAD_MIN_PIXELS pixels and the map at least three
-# times that many values. Per call of a 3-stage pass over 64 float32
-# channels (medians of 11 on a 2-core Xeon), two threads took 1.92x one
-# thread's time at 64^2, 1.04-1.17x at 128^2 (16,384 pixels), 0.92x at
-# 128x144, 0.87-0.92x at 128x160 (20,480) and 0.58x at 256^2. Few
-# channels pay more for the start (medians of 41, twice): at 128x160,
-# 2 channels took 1.07-1.08x and 4 took 1.00-1.06x; at 160^2,
-# 2 channels 0.91-0.93x; at 192^2, 2 channels 0.79-0.86x.
-_THREAD_MIN_PIXELS = 20_000
-
-# _segment_scales runs a cascade's SLIC scales on two threads from this
-# many image pixels. Per call of scales 200, 300 and 400 on Voronoi
-# scenes (medians of 11-15, same machine), two threads took 1.32x one
-# thread's time at 96^2, 1.14-1.17x at 128^2, 1.08-1.09x at 144^2,
-# 0.97-1.02x at 160^2, 0.95-0.96x at 176^2, 0.90-0.91x at 192^2 and
-# 0.82x at 256^2.
-_SLIC_THREAD_MIN_PIXELS = 160 * 160
+# _in_halves splits jobs across two threads when there are 2 or more
+# of them, each of at least _THREAD_MIN_PIXELS pixels, and 2 or more
+# CPUs in the process's affinity mask, so taskset or a cpuset keeps
+# every job on the calling thread. The jobs are a map's channels in
+# _stages and a cascade's SLIC scales in _segment_scales; for both,
+# the thread's start and contention outweigh a small job's share. Two
+# threads' time over one thread's, medians of 15-21 interleaved calls
+# on a 2-core Xeon, as ranges (and the median) over repeated sweeps; a
+# 3-stage cascade_apply over Voronoi partitions of 200/300/400 blocks,
+# and SLIC scales 200/300/400 on Voronoi scenes:
+#
+#   pixels per job    64 channels   8 channels   SLIC scales
+#   160^2  (25,600)   0.79-0.88                  1.19
+#   176^2  (30,976)   0.75-1.02                  1.00-1.05 (1.03)
+#   191x193 (36,863)  0.67-0.74     0.77-0.95    0.92-1.06 (0.96)
+#   192^2  (36,864)   0.68-0.76     0.85-0.95    0.88-1.10 (0.98)
+#   256^2  (65,536)   0.60                       0.77-0.92
+#
+# Maps of 2 or 4 channels still read 1.04-1.43x at 192^2 (at most
+# 0.7 ms a call) and 0.74-0.93x at 256^2.
+_THREAD_MIN_PIXELS = 192 * 192
 
 
 def _check_alpha(alpha: float) -> None:
@@ -168,24 +165,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _on_two_threads(lower, upper) -> None:
-    """Call ``upper`` on one extra thread and ``lower`` on the calling thread.
+def _in_halves(jobs: int, pixels: int, run) -> None:
+    """Call ``run(lo, hi)`` over jobs ``0 .. jobs - 1`` of ``pixels`` pixels each.
 
-    Both run to the end. ``lower``'s error is raised before ``upper``'s,
-    so a split job fails as it would when run lower half first.
+    When the jobs split (see ``_THREAD_MIN_PIXELS``), one extra thread
+    calls ``run(mid, jobs)`` while the calling thread calls
+    ``run(0, mid)``, ``mid = (jobs + 1) // 2``; both run to the end, and
+    the lower half's error is raised before the upper half's, as in job
+    order. If the OS refuses the thread, the calling thread runs them all.
     """
+    if jobs < 2 or pixels < _THREAD_MIN_PIXELS or _usable_cpus() < 2:
+        run(0, jobs)
+        return
+    mid = (jobs + 1) // 2
     fault = []
 
-    def guarded() -> None:
+    def upper() -> None:
         try:
-            upper()
+            run(mid, jobs)
         except BaseException as err:
             fault.append(err)
 
-    worker = threading.Thread(target=guarded)
-    worker.start()
+    worker = threading.Thread(target=upper)
     try:
-        lower()
+        worker.start()
+    except RuntimeError:  # no thread to be had, e.g. at a pid limit
+        run(0, jobs)
+        return
+    try:
+        run(0, mid)
     finally:
         worker.join()
     if fault:
@@ -196,11 +204,7 @@ def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
     """Single-scale passes over ``partitions`` in order, channel by channel;
     each stage's float64 result is rounded to the input dtype, as one pass stores it.
 
-    A map of 2 or more channels of ``_THREAD_MIN_PIXELS`` or more pixels,
-    holding 3 * ``_THREAD_MIN_PIXELS`` or more values, on 2 or more
-    usable CPUs, runs its upper half of channels on one extra thread.
-    Each channel's arithmetic is unchanged, and the lower half's error
-    is raised before the upper half's, as in channel order.
+    The channels are ``_in_halves``'s jobs.
     """
     for part in partitions:
         x = _check_pair(features, part)
@@ -209,8 +213,13 @@ def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
     out = np.empty(x.shape, x.dtype)  # C order, so each channel is one flat row
     flat = out.reshape(x.shape[0], -1)
     channels, pixels = flat.shape
+    # One row and one message buffer per half, all made by the calling
+    # thread: made in the worker, they came from a new malloc arena and
+    # raised the peak RSS of a training step by 2.3 MiB.
+    buffers = np.empty((2, 2, pixels))
 
-    def run(lo: int, hi: int, row: np.ndarray, message: np.ndarray) -> None:
+    def run(lo: int, hi: int) -> None:
+        row, message = buffers[int(lo > 0)]  # a bool index would be a mask
         # numpy's error state is per thread, so each half sets its own.
         with np.errstate(over="raise"):
             for c in range(lo, hi):
@@ -224,17 +233,7 @@ def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
                     flat[c] = row  # this stage's output, in the input dtype
 
     try:
-        if (channels >= 2 and pixels >= _THREAD_MIN_PIXELS
-                and channels * pixels >= 3 * _THREAD_MIN_PIXELS and _usable_cpus() >= 2):
-            mid = (channels + 1) // 2
-            # The calling thread allocates the upper half's buffers too: made
-            # in the worker, they came from a new malloc arena and raised the
-            # peak RSS of a training step by 2.3 MiB.
-            upper = np.empty(pixels), np.empty(pixels)
-            _on_two_threads(lambda: run(0, mid, np.empty(pixels), np.empty(pixels)),
-                            lambda: run(mid, channels, *upper))
-        else:
-            run(0, channels, np.empty(pixels), np.empty(pixels))
+        _in_halves(channels, pixels, run)
     except FloatingPointError:
         raise ValueError(
             f"message passing overflows the {x.dtype} output: "
@@ -378,10 +377,7 @@ def _segment_scales(
 
     Quick Shift's scales share one sigma sweep on the calling thread:
     each distinct sigma is segmented once. SLIC's scales are independent
-    runs: with 2 or more of them, an image of ``_SLIC_THREAD_MIN_PIXELS``
-    or more pixels and 2 or more usable CPUs, one extra thread runs the
-    upper half of the scales. Each run is unchanged, and a lower scale's
-    error is raised before an upper one's, as in scale order.
+    runs, ``_in_halves``'s jobs of the image's pixels each.
     """
     if isinstance(segmenter, QuickShiftParams):
         memo: dict[float, SuperpixelPartition] = {}  # sigma -> partition
@@ -392,12 +388,7 @@ def _segment_scales(
         for i in range(lo, hi):
             parts[i] = slic_segment(lab, replace(segmenter, num_superpixels=scales[i]))
 
-    n = len(scales)
-    if n >= 2 and lab.shape[0] * lab.shape[1] >= _SLIC_THREAD_MIN_PIXELS and _usable_cpus() >= 2:
-        mid = (n + 1) // 2
-        _on_two_threads(lambda: run(0, mid), lambda: run(mid, n))
-    else:
-        run(0, n)
+    _in_halves(len(scales), lab.shape[0] * lab.shape[1], run)
     return parts
 
 

@@ -62,6 +62,15 @@ def test_spxkit_deprecation_warnings_fail_the_suite(category):
         warnings.warn_explicit("deprecated", category, "slic.py", 1, module="spxkit.slic")
 
 
+def test_unhandled_thread_exceptions_fail_the_suite():
+    # pytest only warns when an exception escapes a thread's target, so a
+    # two-thread split that let its worker's error escape would pass.
+    # pyproject.toml turns that warning into an error.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    filters = re.search(r"^filterwarnings = \[(.*?)^\]", pyproject, re.M | re.S).group(1)
+    assert '"error::pytest.PytestUnhandledThreadExceptionWarning"' in filters
+
+
 def test_message_passing_tests_also_run_on_one_cpu():
     # On a multi-core runner large maps and a cascade's SLIC scales take
     # their two-thread paths; a second run pinned to one CPU covers the

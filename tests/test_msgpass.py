@@ -523,8 +523,9 @@ class TestTwoThreads:
         "shape, cpus, threads",
         [((64, 256, 256), {0, 1}, 1), ((64, 64, 64), {0, 1}, 0), ((19, 24, 24), {0, 1}, 0),
          ((1, 256, 256), {0, 1}, 0), ((64, 256, 256), {1}, 0),
-         # Few channels past the pixel floor also need 3x its values in all.
-         ((2, 128, 160), {0, 1}, 0), ((2, 160, 192), {0, 1}, 1), ((3, 128, 160), {0, 1}, 1)],
+         # Each channel needs _THREAD_MIN_PIXELS = 192^2 pixels, however many there are.
+         ((2, 128, 160), {0, 1}, 0), ((2, 160, 192), {0, 1}, 0), ((3, 128, 160), {0, 1}, 0),
+         ((2, 191, 193), {0, 1}, 0), ((2, 192, 192), {0, 1}, 1)],
     )
     def test_one_thread_starts_only_for_large_maps(self, monkeypatch, starts, shape, cpus, threads):
         set_cpus(monkeypatch, cpus)
@@ -537,14 +538,34 @@ class TestTwoThreads:
 
     def test_split_equals_one_cpu_at_full_size(self, monkeypatch, starts):
         rng = np.random.default_rng(14)
-        parts = [random_partition(150, 150, k, rng) for k in (40, 90)]
-        x = rng.standard_normal((5, 150, 150)).astype(np.float32)
+        parts = [random_partition(200, 200, k, rng) for k in (40, 90)]
+        x = rng.standard_normal((5, 200, 200)).astype(np.float32)
         outs = []
         for cpus in ({0, 1}, {0}):
             set_cpus(monkeypatch, cpus)
             outs.append(cascade_apply(x, parts, 0.7))
         assert np.array_equal(*outs)
         assert len(starts) == 1
+
+    def test_refused_thread_leaves_every_job_to_the_calling_thread(self, split, monkeypatch):
+        # Thread.start raises RuntimeError when the OS refuses a thread, say
+        # at a container's pid limit; the channels and the scales then all
+        # run on the calling thread, as on one CPU.
+        def forward():
+            return TestScaleSplit.forward(16, scales=(2, 4, 8), features=(4, 8, 8))
+
+        monkeypatch.setattr(msgpass_module, "_usable_cpus", lambda: 1)
+        want, want_trace = forward()
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(msgpass_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        got, trace = forward()
+        assert np.array_equal(got, want)
+        for (_, a), (_, b) in zip(trace.stages, want_trace.stages):
+            assert np.array_equal(a.labels, b.labels)
 
     def test_cpu_count_stands_in_for_a_missing_affinity_call(self, monkeypatch):
         monkeypatch.delattr(msgpass_module.os, "sched_getaffinity", raising=False)
@@ -555,19 +576,22 @@ class TestTwoThreads:
 
 
 class TestScaleSplit:
-    """A cascade's SLIC scales run on two threads from _SLIC_THREAD_MIN_PIXELS."""
+    """A cascade's SLIC scales run on two threads from _THREAD_MIN_PIXELS image pixels."""
 
     @staticmethod
-    def forward(side, scales=(10, 20, 30), segmenter=SlicParams(1)):
-        # Blocky colours; one feature channel keeps message passing on one thread.
+    def forward(side, scales=(10, 20, 30), segmenter=SlicParams(1), width=None, features=(1, 4, 4)):
+        # Blocky colours; by default, one small feature channel keeps
+        # message passing on one thread.
+        width = side if width is None else width
         rng = np.random.default_rng(15)
-        cells = rng.integers(0, 256, (-(-side // 16), -(-side // 16), 3), dtype=np.uint8)
-        img = cells.repeat(16, axis=0).repeat(16, axis=1)[:side, :side]
-        x = rng.standard_normal((1, 4, 4)).astype(np.float32)
+        cells = rng.integers(0, 256, (-(-side // 16), -(-width // 16), 3), dtype=np.uint8)
+        img = cells.repeat(16, axis=0).repeat(16, axis=1)[:side, :width]
+        x = rng.standard_normal(features).astype(np.float32)
         return cascade_forward(x, img, MspConfig(scales=scales, segmenter=segmenter))
 
     def test_split_equals_one_cpu_run(self, monkeypatch, starts):
-        side = math.isqrt(msgpass_module._SLIC_THREAD_MIN_PIXELS - 1) + 1
+        side = math.isqrt(msgpass_module._THREAD_MIN_PIXELS - 1) + 1
+        assert side * side == msgpass_module._THREAD_MIN_PIXELS  # the run is at the floor
         runs = []
         for cpus in ({0, 1}, {0}):
             set_cpus(monkeypatch, cpus)
@@ -584,17 +608,27 @@ class TestScaleSplit:
     @pytest.mark.parametrize("case", ["one cpu", "one scale", "quickshift", "below"])
     def test_no_thread_starts(self, monkeypatch, starts, case):
         set_cpus(monkeypatch, {0} if case == "one cpu" else {0, 1})
-        side = math.isqrt(msgpass_module._SLIC_THREAD_MIN_PIXELS - 1) + 1
+        side = math.isqrt(msgpass_module._THREAD_MIN_PIXELS - 1) + 1
         if case == "one scale":
             self.forward(side, scales=(30,))
         elif case == "quickshift":
-            monkeypatch.setattr(msgpass_module, "_SLIC_THREAD_MIN_PIXELS", 1)
+            monkeypatch.setattr(msgpass_module, "_THREAD_MIN_PIXELS", 1)
             self.forward(32, scales=(2, 4, 8), segmenter=QuickShiftParams(sigma=1.0, tau=3.0))
         elif case == "below":
-            self.forward(side - 1)
+            assert 191 * 193 == msgpass_module._THREAD_MIN_PIXELS - 1
+            self.forward(191, width=193)
         else:
             self.forward(side)
         assert starts == []
+
+    @pytest.mark.parametrize("floor, threads", [(32 * 32, 2), (32 * 32 + 1, 0)])
+    def test_one_floor_moves_both_splits(self, monkeypatch, starts, floor, threads):
+        # A 32x32 image and a (2, 32, 32) map: the scales and the channels
+        # split together, and only when each job reaches the floor.
+        monkeypatch.setattr(msgpass_module, "_THREAD_MIN_PIXELS", floor)
+        set_cpus(monkeypatch, {0, 1})
+        self.forward(32, features=(2, 32, 32))
+        assert len(starts) == threads
 
     @pytest.mark.parametrize(
         "scales, bad",
@@ -602,11 +636,27 @@ class TestScaleSplit:
          ((1, 2, 17), 17)],  # only the worker's scale fails
     )
     def test_error_of_the_lowest_failing_scale_is_raised(self, monkeypatch, starts, scales, bad):
-        monkeypatch.setattr(msgpass_module, "_SLIC_THREAD_MIN_PIXELS", 1)
+        monkeypatch.setattr(msgpass_module, "_THREAD_MIN_PIXELS", 1)
         set_cpus(monkeypatch, {0, 1})
         with pytest.raises(ValueError, match=f"num_superpixels {bad} exceeds pixel count 16"):
             self.forward(4, scales=scales)
         assert len(starts) == 1
+
+
+@pytest.mark.parametrize("workload", ["msp-smooth", "msp-train", "refine-qs"])
+def test_benchmark_shapes_keep_their_paths(monkeypatch, starts, workload):
+    # perfbench's workloads on a 2-CPU machine: msp-smooth splits its 256^2
+    # image's SLIC scales but not its (64, 64, 64) features, msp-train splits
+    # its (64, 256, 256) map, and refine-qs's (19, 24, 24) map stays whole.
+    set_cpus(monkeypatch, {0, 1})
+    if workload == "msp-smooth":
+        TestScaleSplit.forward(256, scales=(200, 300, 400), features=(64, 64, 64))
+    else:
+        shape = (64, 256, 256) if workload == "msp-train" else (19, 24, 24)
+        rng = np.random.default_rng(16)
+        parts = [random_partition(*shape[1:], k, rng) for k in (20, 30, 40)]
+        cascade_apply(rng.standard_normal(shape).astype(np.float32), parts, 0.1)
+    assert len(starts) == (0 if workload == "refine-qs" else 1)
 
 
 class TestRefineProbabilities:
