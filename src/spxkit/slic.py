@@ -372,22 +372,13 @@ def enforce_connectivity(
     The sweep runs on one symmetric CSR adjacency of the original
     components (``_border_adjacency``), so its memory is a few arrays
     over component pairs, with no Python object per component. Only a
-    component that starts below ``min_size`` ever merges, and the border
-    map of ``r`` changes only when a neighbour moves; by induction, the
-    first neighbour of ``r`` to move is a lower-id component that also
-    started below ``min_size``. So a small component with no such
-    neighbour ("settled") reaches its turn with its original size and
-    adjacency, and all settled targets come at once from one stable
-    lexsort of their CSR rows. Nor does any merge touch a settled component
-    before its turn: a merging set's members all started small and none
-    has a higher id than the set's root. So settled merges are entered
-    up front, each into its target's member ring, and only the other
-    small components are walked, in ascending id. A walked ``r`` sums its
-    members' original CSR rows by current root, which is the border map
-    the sweep holds for ``r``; ``parent`` always names a component's
-    root at the walk's current step, since a merge relabels the whole
-    member ring and a settled component is never a neighbour of a walked
-    set before its turn.
+    component that starts below ``min_size`` ever merges, so the walk
+    visits those in ascending id and re-reads each one's size at its
+    turn. A merging set's members form a ring through ``next_member``,
+    which a merge splices into its target's ring, and ``r`` sums its members' original CSR rows by current root, which
+    is the border map the sweep holds for ``r``; ``parent`` always names
+    a component's root at the walk's current step, since a merge
+    relabels the whole member ring.
     """
     check_count("min_size", min_size)
     comp, ncomp = _components_first_appearance(check_label_map(raw_labels))
@@ -395,34 +386,11 @@ def enforce_connectivity(
     rows, cols, counts = _border_adjacency(comp, ncomp)
     indptr = np.searchsorted(rows, np.arange(ncomp + 1, dtype=rows.dtype))
 
-    small = sizes < min_size
-    walked = np.zeros(ncomp, dtype=bool)
-    walked[rows[(cols < rows) & small[cols]]] = True
-    walked &= small
-    # First entry of each settled row in (row, -count) order: the stable
-    # lexsort keeps ties in ascending column order, as the majority vote does.
-    pick = (small & ~walked)[rows]
-    own = rows[pick]
-    first = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])[: own.size]
-    best = np.lexsort((-counts[pick], own))[first]
-    settled, targets = own[best], cols[pick][best]
     parent = np.arange(ncomp)
-    parent[settled] = targets
-    np.add.at(sizes, targets, sizes[settled])
-    # Member rings: each target's settled members follow it, and the
-    # last of them points back at the target.
     next_member = np.arange(ncomp)
-    if settled.size:
-        by_target = np.argsort(targets)
-        ts, ss = targets[by_target], settled[by_target]
-        head = np.r_[True, ts[1:] != ts[:-1]]
-        tail = np.r_[head[1:], True]
-        next_member[ss] = np.where(tail, ts, np.roll(ss, -1))
-        next_member[ts[head]] = ss[head]
-
     par, ring, size = memoryview(parent), memoryview(next_member), memoryview(sizes)
     start, col, cnt = memoryview(indptr), memoryview(cols), memoryview(counts)
-    for r in np.flatnonzero(walked).tolist():
+    for r in np.flatnonzero(sizes < min_size).tolist():
         if size[r] >= min_size:
             continue
         border: dict[int, int] = {}

@@ -83,3 +83,17 @@ def test_message_passing_tests_also_run_on_one_cpu():
     for name in ("test_msgpass.py", "test_msgpass_oracle.py", "test_cascade_oracle.py",
                  "test_slic.py", "test_slic_oracle.py"):
         assert f"tests/{name}" in pinned[0].split()
+
+
+def test_sources_parse_as_python_3_10():
+    # The workflow's matrix includes Python 3.10, so 3.11-only syntax
+    # (say, ``except*``) must fail here before a 3.10 runner meets it.
+    import ast
+
+    paths = sorted(
+        path for top in ("src", "tests", "perfbench", "demos")
+        for path in (ROOT / top).rglob("*.py")
+    )
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -316,6 +316,39 @@ def test_raw_slic_labels_of_noisy_image_match_oracle(monkeypatch):
     assert np.array_equal(part.labels, want.labels)
 
 
+def test_raw_slic_labels_of_a_benchmark_size_scene_match_oracle(monkeypatch):
+    # 256^2 Voronoi regions with gentle colour ramps plus sigma=4 noise at
+    # K = 400: over a thousand raw components, most below the size floor,
+    # and many small ones border a lower-id small one, so merges chain.
+    rng = np.random.default_rng(7)
+    sites = rng.uniform(0, 256, (24, 2))
+    base = rng.uniform(40.0, 215.0, (24, 3))
+    slope = rng.uniform(-0.25, 0.25, (24, 3, 2))
+    yy, xx = np.mgrid[:256, :256].astype(np.float64)
+    region = np.argmin((yy[..., None] - sites[:, 0]) ** 2 + (xx[..., None] - sites[:, 1]) ** 2,
+                       axis=2)
+    img = (base[region] + slope[region, :, 0] * (yy - sites[region, 0])[..., None]
+           + slope[region, :, 1] * (xx - sites[region, 1])[..., None])
+    img += rng.normal(0.0, 4.0, img.shape)
+    img = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+    captured = []
+
+    def capture(raw_labels, min_size):
+        captured.append((raw_labels.copy(), min_size))
+        return enforce_connectivity(raw_labels, min_size)
+
+    monkeypatch.setattr(slic_module, "enforce_connectivity", capture)
+    part = slic_segment(srgb_to_lab(img), SlicParams(num_superpixels=400))
+    ((raw, min_size),) = captured
+    assert _components_first_appearance(raw)[1] > 1000
+    walked, _ = walked_and_settled(raw, min_size)
+    assert walked > 100
+    want = oracle_enforce_connectivity(raw, min_size)
+    assert np.array_equal(part.labels, want.labels)
+    assert np.array_equal(part.block_sizes, want.block_sizes)
+
+
 def assert_components_match_oracle(raw: np.ndarray) -> None:
     got, ncomp = slic_module._components_first_appearance(raw)
     want, want_n = _components_first_appearance(raw)
