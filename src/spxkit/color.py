@@ -7,6 +7,10 @@ neutral input maps to exactly a = b = 0 and (255,255,255) to L = 100.
 An 8-bit channel has only 256 levels, so the transfer function is
 evaluated once, at import, into a 256-entry table that every conversion
 indexes with the image itself.
+
+The result is stored as three planes: an (H, W, 3) view of one (3, H, W)
+array, so L, a and b are each one contiguous block. The segmenters read
+one channel at a time, and read these planes with unit stride.
 """
 
 from __future__ import annotations
@@ -51,14 +55,15 @@ def srgb_to_lab(image: np.ndarray) -> np.ndarray:
     """Convert an (H, W, 3) uint8 sRGB image to float64 (L, a, b) triples.
 
     L lies in [0, 100]; a and b are unbounded but stay within roughly
-    [-128, 127] for in-gamut inputs.
+    [-128, 127] for in-gamut inputs. The (H, W, 3) result is a view of
+    planar (3, H, W) storage: ``np.moveaxis(lab, 2, 0)`` is C-contiguous.
     """
     arr = check_image(image)
     rgb = _LINEAR[arr]
     xyz = rgb @ _RGB_TO_XYZ.T
     fxyz = _f(xyz / _WHITE)
-    lab = np.empty_like(fxyz)
-    lab[..., 0] = 116.0 * fxyz[..., 1] - 16.0
-    lab[..., 1] = 500.0 * (fxyz[..., 0] - fxyz[..., 1])
-    lab[..., 2] = 200.0 * (fxyz[..., 1] - fxyz[..., 2])
-    return lab
+    planes = np.empty((3, *fxyz.shape[:2]))
+    planes[0] = 116.0 * fxyz[..., 1] - 16.0
+    planes[1] = 500.0 * (fxyz[..., 0] - fxyz[..., 1])
+    planes[2] = 200.0 * (fxyz[..., 1] - fxyz[..., 2])
+    return planes.transpose(1, 2, 0)

@@ -217,11 +217,20 @@ def undersegmentation_error(
     pixel count. Zero iff every block lies inside a single segment.
     """
     labels, g = _check_pair(partition.labels, gt)
-    _, g_ids = np.unique(g.ravel(), return_inverse=True)
+    # Segment ids and (block, segment) keys sort in the narrowest unsigned
+    # dtype that holds them. Values less than 2^b apart stay distinct
+    # modulo 2^b, so a cast to b bits that hold the span keeps segments
+    # apart; only their order may change, which the error does not see.
+    # numpy radix-sorts keys of 16 bits or fewer when the sort is stable,
+    # as np.unique's is when it returns indices.
+    flat = g.ravel()
+    seg = flat.astype(np.min_scalar_type(int(flat.max()) - int(flat.min())))
+    g_ids = np.unique(seg, return_index=seg.itemsize <= 2, return_inverse=True)[-1]
     n_seg = int(g_ids.max()) + 1
     # Counting only the (block, segment) pairs that occur keeps memory
     # linear in pixels, whatever the block and segment counts.
-    joint = labels.ravel().astype(np.int64) * n_seg + g_ids
+    narrow = np.min_scalar_type(max(partition.num_blocks * n_seg - 1, n_seg))
+    joint = labels.ravel().astype(narrow) * n_seg + g_ids.astype(narrow)
     keys, overlap = np.unique(joint, return_counts=True)
     sizes = partition.block_sizes[keys // n_seg]
     return float(np.minimum(overlap, sizes - overlap).sum() / g.size)

@@ -218,11 +218,14 @@ def _update_centers(
     ``points`` holds the five (H*W,) rows of pixel L, a, b, x and y: a
     (5, H*W) array, or views of the Lab planes and of the pixel
     coordinates, which ``slic_segment`` passes so as not to copy them.
+    The Lab rows are contiguous when the Lab is planar, as
+    ``srgb_to_lab`` returns it; an interleaved Lab gives the same sums
+    through strided rows, which ``bincount`` copies first.
     Sums use np.bincount over the row-major pixel order, which fixes the
     accumulation order and keeps reruns bit-identical.
     """
     k = len(centers)
-    flat = labels.ravel()
+    flat = labels.ravel().astype(np.intp)  # once, not in each bincount
     counts = np.bincount(flat, minlength=k).astype(np.float64)
     new = np.empty_like(centers)
     for c in range(5):

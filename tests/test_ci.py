@@ -81,7 +81,7 @@ def test_message_passing_tests_also_run_on_one_cpu():
     pinned = [run for run in runs if "taskset -c 0 python -m pytest" in run]
     assert len(pinned) == 1
     for name in ("test_msgpass.py", "test_msgpass_oracle.py", "test_cascade_oracle.py",
-                 "test_slic.py", "test_slic_oracle.py"):
+                 "test_slic.py", "test_slic_oracle.py", "test_lab_layout.py"):
         assert f"tests/{name}" in pinned[0].split()
 
 

@@ -10,8 +10,10 @@ tolerance or the label count.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage as ndi
@@ -312,6 +314,88 @@ def test_undersegmentation_memory_linear_in_pixels():
         part, gt)
     peak = _peak_bytes(metrics.undersegmentation_error, part, gt)
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _gt_values(rng, shape, dtype, low, high):
+    """A blocky ``dtype`` gt map of up to 12 values in [low, high]. The two
+    ends fill the top rows side by side, so a block that straddles them
+    scores differently if they are ever taken for one segment."""
+    values = rng.integers(low, high, 12, endpoint=True, dtype=dtype)
+    gt = values[_label_map(rng, *shape, values.size, True)]
+    gt[:6, : shape[1] // 2] = low
+    gt[:6, shape[1] // 2 :] = high
+    return gt
+
+
+I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize(
+    "dtype, low, high",
+    [
+        (np.int64, -7, 5),  # negative labels
+        (np.int64, -(2**40), 3),  # a span far past the largest value
+        (np.int8, -128, 127),
+        (np.int32, -128, 128),  # a span of 2^8 needs 16 bits
+        (np.int32, -(2**31), 2**31 - 1),
+        (np.uint32, 0, 2**32 - 1),  # as the CLI reads gt from uint32 files
+        (np.int64, 2**32, 2**40),  # int64 past 2^32
+        (np.int64, I64.min, I64.max),  # a span of 2^64 - 1
+        (np.uint64, 2**63, 2**64 - 1),  # past int64
+        (np.uint64, 0, 2**64 - 1),
+        (np.uint16, 0, 2**16 - 1),
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_undersegmentation_matches_oracle_on_any_gt_values(dtype, low, high, seed):
+    rng = np.random.default_rng(seed)
+    gt = _gt_values(rng, (24, 20), dtype, low, high)
+    assert gt.dtype == dtype and gt.min() == low and gt.max() == high
+    for part in (random_partition(24, 20, 30, rng),
+                 relabel_contiguous(rng.integers(0, 480, (24, 20)))):
+        assert metrics.undersegmentation_error(part, gt) == undersegmentation_error(part, gt)
+
+
+def test_undersegmentation_of_one_block_over_256_segments():
+    # One block: the largest key, 255, fits in uint8, but the segment
+    # count 256 it is multiplied by does not.
+    part = relabel_contiguous(np.zeros((16, 16), dtype=np.int64))
+    gt = np.arange(256).reshape(16, 16)
+    assert metrics.undersegmentation_error(part, gt) == undersegmentation_error(part, gt)
+
+
+def pair_count_undersegmentation_error(partition, gt):
+    """The oracle's sum, over the (block, segment) pairs that occur, counted
+    in a dict: exact where the dense table would not fit in memory."""
+    pairs = Counter(zip(partition.labels.ravel().tolist(), np.asarray(gt).ravel().tolist()))
+    sizes = partition.block_sizes.tolist()
+    return float(sum(min(n, sizes[b] - n) for (b, _), n in pairs.items()) / gt.size)
+
+
+def test_pair_count_oracle_matches_dense_oracle():
+    rng = np.random.default_rng(4)
+    gt = _gt_values(rng, (24, 20), np.int64, -(2**40), 2**40)
+    part = random_partition(24, 20, 40, rng)
+    assert pair_count_undersegmentation_error(part, gt) == undersegmentation_error(part, gt)
+
+
+def test_undersegmentation_with_keys_past_2_to_the_32():
+    # 70,000 blocks by 70,000 segments: (block, segment) keys need 64 bits,
+    # and the oracle's dense table would take 36 GiB.
+    rng = np.random.default_rng(5)
+    h = w = 300
+    pairs = rng.choice((h * w - 2) // 2, 20000, replace=False)
+    labels = np.arange(h * w)
+    labels[2 * pairs + 1] = labels[2 * pairs]  # 20,000 two-pixel blocks
+    seg = np.arange(h * w)
+    seg[2 * pairs + 2] = seg[2 * pairs + 1]  # each straddles a segment boundary
+    part = relabel_contiguous(labels.reshape(h, w))
+    gt = (seg.reshape(h, w) - 45000) * 2**40  # negative and past 2^32 too
+    n_seg = np.unique(gt).size
+    assert part.num_blocks * n_seg > 2**32
+    got = metrics.undersegmentation_error(part, gt)
+    assert got == pair_count_undersegmentation_error(part, gt)
+    assert got > 0
 
 
 def test_evaluate_segmentation_memory_linear_in_classes():
