@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import SuperpixelPartition, check_count, check_label_map
+from .core import SuperpixelPartition, check_count, check_label_map, relabel_contiguous
 
 __all__ = [
     "MetricsReport",
@@ -217,15 +217,7 @@ def undersegmentation_error(
     pixel count. Zero iff every block lies inside a single segment.
     """
     labels, g = _check_pair(partition.labels, gt)
-    # Segment ids and (block, segment) keys sort in the narrowest unsigned
-    # dtype that holds them. Values less than 2^b apart stay distinct
-    # modulo 2^b, so a cast to b bits that hold the span keeps segments
-    # apart; only their order may change, which the error does not see.
-    # numpy radix-sorts keys of 16 bits or fewer when the sort is stable,
-    # as np.unique's is when it returns indices.
-    flat = g.ravel()
-    seg = flat.astype(np.min_scalar_type(int(flat.max()) - int(flat.min())))
-    g_ids = np.unique(seg, return_index=seg.itemsize <= 2, return_inverse=True)[-1]
+    g_ids = relabel_contiguous(g).labels.ravel()
     n_seg = int(g_ids.max()) + 1
     # Counting only the (block, segment) pairs that occur keeps memory
     # linear in pixels, whatever the block and segment counts.

@@ -101,9 +101,12 @@ def _initial_centers(lab: np.ndarray, num_superpixels: int) -> np.ndarray:
     nx = px + offsets[:, 1:]
     off = (ny < 0) | (ny >= h) | (nx < 0) | (nx >= w)
     ny, nx = np.clip(ny, 0, h - 1), np.clip(nx, 0, w - 1)
-    dx = lab[ny, np.minimum(nx + 1, w - 1)] - lab[ny, np.maximum(nx - 1, 0)]
-    dy = lab[np.minimum(ny + 1, h - 1), nx] - lab[np.maximum(ny - 1, 0), nx]
-    around = (dx**2).sum(axis=2) + (dy**2).sum(axis=2)
+    left, right = np.maximum(nx - 1, 0), np.minimum(nx + 1, w - 1)
+    up, down = np.maximum(ny - 1, 0), np.minimum(ny + 1, h - 1)
+    planes = np.moveaxis(lab, 2, 0)  # views of L, a and b
+    around = sum((p[ny, right] - p[ny, left]) ** 2 for p in planes) + sum(
+        (p[down, nx] - p[up, nx]) ** 2 for p in planes
+    )
     around[off] = np.inf
     moved = around.min(axis=0) < around[4]  # around[4] is the seed itself
     step = offsets[np.argmin(around[:, moved], axis=0)]
@@ -111,7 +114,7 @@ def _initial_centers(lab: np.ndarray, num_superpixels: int) -> np.ndarray:
     px[moved] += step[:, 1]
     cy[moved] = py[moved]
     cx[moved] = px[moved]
-    return np.column_stack([lab[py, px], cx, cy])
+    return np.column_stack([*(p[py, px] for p in planes), cx, cy])
 
 
 def _assign(

@@ -35,6 +35,21 @@ def test_versions_are_printed_before_the_tests():
     assert printers and install < printers[0] < tests
 
 
+def test_blas_is_printed_before_the_tests():
+    # tests/test_dispatch.py skips its OpenBLAS child when numpy names no
+    # OpenBLAS, so the skip must read next to the BLAS numpy was built with.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
+    runs = [step.get("run") or "" for step in workflow["jobs"]["tests"]["steps"]]
+    install = runs.index('python -m pip install -e ".[test]"')
+    tests = next(i for i, run in enumerate(runs) if "pytest" in run)
+    printers = [
+        i for i, run in enumerate(runs)
+        if "show_config(mode='dicts')['Build Dependencies']['blas']" in run
+    ]
+    assert printers and install < printers[0] < tests
+
+
 def test_tests_job_has_a_timeout():
     # A hung run (say, a hypothesis search that never ends) would
     # otherwise hold a runner for GitHub's 6 h default.

@@ -9,6 +9,11 @@ compares the digests with this process. The Lab floats themselves may
 differ between the two; the corpus hashes only what spxkit returns to a
 user: label maps and message-passing outputs.
 
+numpy also picks an OpenBLAS kernel for the CPU at load time, and the
+kernels may round a matrix product differently. spxkit calls no BLAS
+routine, so a second child with ``OPENBLAS_CORETYPE=Sandybridge`` must
+match this process on the corpus and on the Lab floats themselves.
+
 Run as a script, this file prints the child's JSON report.
 """
 
@@ -112,6 +117,21 @@ def corpus_digests() -> dict[str, str]:
     return out
 
 
+def lab_digest() -> str:
+    """Digest of the Lab floats of a seeded 256x256 random image."""
+    image = np.random.default_rng(10).integers(0, 256, (256, 256, 3), dtype=np.uint8)
+    return _digest(srgb_to_lab(image))
+
+
+def numpy_blas() -> str | None:
+    """The BLAS that numpy names in its build configuration, if it can say."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 only prints its configuration
+        return None
+    return str(config["Build Dependencies"]["blas"])
+
+
 def test_labels_do_not_depend_on_the_simd_dispatch_level():
     group = avx512_group()
     if not group:
@@ -132,10 +152,31 @@ def test_labels_do_not_depend_on_the_simd_dispatch_level():
     assert not differ, f"these differ without AVX-512: {differ}"
 
 
+def test_outputs_and_lab_do_not_depend_on_the_openblas_kernel():
+    blas = numpy_blas()
+    if blas is None or "openblas" not in blas.lower():
+        pytest.skip(f"numpy names no OpenBLAS ({blas}), so OPENBLAS_CORETYPE "
+                    "would select nothing")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+
+    want = corpus_digests()
+    assert len(want) == 71
+    differ = sorted(k for k in want if report["digests"].get(k) != want[k])
+    assert not differ, f"these differ under the Sandybridge kernel: {differ}"
+    assert report["lab"] == lab_digest(), "the Lab floats differ under the Sandybridge kernel"
+
+
 if __name__ == "__main__":
     features, _ = _cpu_features()
     disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
     print(json.dumps({
         "enabled": [name for name in disabled if features.get(name)],
         "digests": corpus_digests(),
+        "lab": lab_digest(),
     }))
