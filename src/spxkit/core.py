@@ -143,14 +143,22 @@ def relabel_contiguous(raw_labels: np.ndarray) -> SuperpixelPartition:
     value: ``np.minimum.at`` records each value's first pixel, a bool
     mask over the pixels lists the used values in first-appearance
     order, and one gather maps every pixel to its rank, so nothing is
-    sorted. Any other map is first compressed to [0, U) with
-    ``np.unique(..., return_inverse=True)``.
+    sorted. Any other map is first shifted by its minimum into the
+    narrowest unsigned dtype that holds ``max - min``, which keeps
+    distinct values distinct and first appearances where they were; a
+    shifted map still not inside [0, H*W) is then compressed to [0, U)
+    with ``np.unique(..., return_inverse=True)``.
     """
     arr = check_label_map(raw_labels)
     flat = arr.ravel()
     n = flat.size
-    if flat.min() < 0 or flat.max() >= n:
-        flat = np.unique(flat, return_inverse=True)[1].ravel()
+    lo, hi = flat.min(), flat.max()
+    if lo < 0 or hi >= n:
+        span = int(hi) - int(lo)
+        # A difference that wraps in the input dtype casts back exactly.
+        flat = (flat - lo).astype(np.min_scalar_type(span), copy=False)
+        if span >= n:
+            flat = np.unique(flat, return_inverse=True)[1].ravel()
     first = np.full(int(flat.max()) + 1, n, dtype=np.intp)
     np.minimum.at(first, flat, np.arange(n))
     starts = np.zeros(n, dtype=bool)

@@ -11,10 +11,13 @@ The multiscale form chains single-scale passes over partitions of
 strictly increasing block count (large blocks first), generating
 superpixels from the full-resolution image and mapping them down to
 feature resolution by per-cell majority vote. A cascade's SLIC scales
-are independent runs, which may run on two threads (see
-``_THREAD_MIN_PIXELS``); two runs at once hold two runs' scratch, about
-54 B/pixel each beside the shared Lab image. Quick Shift's scales share
-one sigma sweep on the calling thread.
+are independent runs that share one queue and one array of pixel
+coordinates: a thread takes a run, advances it by one k-means step and
+puts it back, so two threads (see ``_THREAD_MIN_PIXELS``) stay busy
+until one run is left. Beside the shared Lab image, scales 200/300/400
+at 512^2 peak at ~96 B/pixel on two threads (two steps' scratch at
+once) and ~62 B/pixel on one. Quick Shift's scales share one sigma
+sweep on the calling thread.
 
 All arithmetic accumulates in float64 in a fixed row-major order, so
 results are bit-reproducible run to run. A pass or a whole cascade runs
@@ -48,6 +51,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,7 +66,8 @@ from .core import (
     relabel_contiguous,
 )
 from .quickshift import QuickShiftParams, quickshift_match_scale
-from .slic import SlicParams, slic_segment
+from .slic import SlicParams, _slic_steps
+from .slic import slic_segment  # noqa: F401  perfbench/tracing.py wraps it here
 
 __all__ = [
     "CascadeTrace",
@@ -89,14 +94,14 @@ __all__ = [
 # threads' time over one thread's, medians of 15-21 interleaved calls
 # on a 2-core Xeon, as ranges (and the median) over repeated sweeps; a
 # 3-stage cascade_apply over Voronoi partitions of 200/300/400 blocks,
-# and SLIC scales 200/300/400 on Voronoi scenes:
+# and SLIC scales 200/300/400 on Voronoi scenes, stepped from one queue:
 #
 #   pixels per job    64 channels   8 channels   SLIC scales
-#   160^2  (25,600)   0.79-0.88                  1.19
-#   176^2  (30,976)   0.75-1.02                  1.00-1.05 (1.03)
-#   191x193 (36,863)  0.67-0.74     0.77-0.95    0.92-1.06 (0.96)
-#   192^2  (36,864)   0.68-0.76     0.85-0.95    0.88-1.10 (0.98)
-#   256^2  (65,536)   0.60                       0.77-0.92
+#   160^2  (25,600)   0.79-0.88                  1.04-1.26 (1.18)
+#   176^2  (30,976)   0.75-1.02                  1.02-1.19 (1.09)
+#   191x193 (36,863)  0.67-0.74     0.77-0.95    0.80-1.11 (1.01)
+#   192^2  (36,864)   0.68-0.76     0.85-0.95    0.97-1.13 (1.02)
+#   256^2  (65,536)   0.60                       0.71-1.00 (0.81)
 #
 # Maps of 2 or 4 channels still read 1.04-1.43x at 192^2 (at most
 # 0.7 ms a call) and 0.74-0.93x at 256^2.
@@ -173,6 +178,7 @@ def _in_halves(jobs: int, pixels: int, run) -> None:
     ``run(0, mid)``, ``mid = (jobs + 1) // 2``; both run to the end, and
     the lower half's error is raised before the upper half's, as in job
     order. If the OS refuses the thread, the calling thread runs them all.
+    A ``run`` that takes its jobs from a shared queue may ignore its half.
     """
     if jobs < 2 or pixels < _THREAD_MIN_PIXELS or _usable_cpus() < 2:
         run(0, jobs)
@@ -376,19 +382,49 @@ def _segment_scales(
     """Full-resolution partitions of ``lab``, one per scale, in scale order.
 
     Quick Shift's scales share one sigma sweep on the calling thread:
-    each distinct sigma is segmented once. SLIC's scales are independent
-    runs, ``_in_halves``'s jobs of the image's pixels each.
+    each distinct sigma is segmented once. SLIC's scales are
+    ``_slic_steps`` runs in one FIFO queue, ``_in_halves``'s jobs of the
+    image's pixels each: every thread it runs pops a run, advances it
+    one step and pushes it back, and a finished run's partition goes to
+    its scale's slot. Each run's arithmetic is its own, so the labels do
+    not depend on the threads; the lowest failing scale's error is
+    raised once every thread is done.
     """
     if isinstance(segmenter, QuickShiftParams):
         memo: dict[float, SuperpixelPartition] = {}  # sigma -> partition
         return [quickshift_match_scale(lab, segmenter, s, memo=memo) for s in scales]
+    h, w = lab.shape[:2]
+    yx = np.indices((h, w), dtype=np.float64).reshape(2, -1)
+    runs = deque(
+        (i, _slic_steps(lab, replace(segmenter, num_superpixels=s), yx))
+        for i, s in enumerate(scales)
+    )
+    del yx  # each run lets go of it before its connectivity pass
     parts: list = [None] * len(scales)
+    faults: dict[int, Exception] = {}
 
-    def run(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            parts[i] = slic_segment(lab, replace(segmenter, num_superpixels=scales[i]))
+    def advance() -> None:
+        # A thread leaves once the queue is empty: every run left is then
+        # the one the other thread holds.
+        while True:
+            try:
+                i, steps = runs.popleft()
+            except IndexError:
+                return
+            try:
+                next(steps)
+            except StopIteration as done:
+                parts[i] = done.value
+            except Exception as err:
+                faults[i] = err
+            else:
+                runs.append((i, steps))
 
-    _in_halves(len(scales), lab.shape[0] * lab.shape[1], run)
+    # Each thread, whichever half _in_halves gives it, takes its steps
+    # from the one queue.
+    _in_halves(len(scales), h * w, lambda lo, hi: advance())
+    if faults:
+        raise faults[min(faults)]
     return parts
 
 

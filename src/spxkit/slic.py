@@ -13,13 +13,16 @@ are one symmetric CSR adjacency, so the merge keeps a few arrays over
 component pairs and no Python object per component.
 
 Beside its Lab input, a run keeps one (2, H*W) array of pixel x and y
-for the center updates and one chunk of window distances for the
-assignment; both are gone before the connectivity pass, whose own
-scratch is O(H*W) too.
+for the center updates, which runs on one image may share, and one
+chunk of window distances for the assignment; both are gone before the
+connectivity pass, whose own scratch is O(H*W) too. ``_slic_steps``
+runs the same code one k-means step at a time, so a cascade can
+interleave its scales' runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,14 +242,18 @@ def _update_centers(
     return new
 
 
-def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
-    """Segment a Lab image into roughly ``params.num_superpixels`` blocks.
+def _slic_steps(
+    lab: np.ndarray, params: SlicParams, yx: np.ndarray | None = None
+) -> Generator[None, None, SuperpixelPartition]:
+    """:func:`slic_segment` one step at a time; returns its partition.
 
-    Runs windowed k-means until the mean center displacement (in
-    combined-distance units) drops below 0.25 or 10 iterations are done,
-    then enforces connectivity with a size floor of a quarter of S^2
-    (S = sqrt(H*W / num_superpixels)). The result is deterministic and
-    always a valid partition.
+    The generator yields before each ``_assign`` sweep and before the
+    connectivity pass, so runs on one image can take turns on a thread
+    or share threads; a step's arithmetic does not depend on who runs
+    it. ``yx`` is the (2, H*W) float64 array of pixel y and x,
+    ``np.indices((H, W), dtype=np.float64).reshape(2, -1)``, which runs
+    on one image may share; each run makes its own when it is None, and
+    drops its reference before the connectivity pass.
     """
     lab = check_lab_image(lab)
     h, w = lab.shape[:2]
@@ -258,11 +265,13 @@ def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
     spacing = np.sqrt(h * w / params.num_superpixels)
     ratio = params.compactness**2 / spacing**2
     centers = _initial_centers(lab, params.num_superpixels)
-    yx = np.indices((h, w), dtype=np.float64).reshape(2, -1)
+    if yx is None:
+        yx = np.indices((h, w), dtype=np.float64).reshape(2, -1)
     # Views, unless the image is strided: rows L, a, b, x, y.
     points = (*lab.reshape(-1, 3).T, *yx[::-1])
 
     for _ in range(_MAX_ITERATIONS):
+        yield
         labels = _assign(lab, centers, spacing, ratio)
         new_centers = _update_centers(points, labels, centers)
         d_c2 = ((new_centers[:, :3] - centers[:, :3]) ** 2).sum(axis=1)
@@ -274,7 +283,25 @@ def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
 
     del lab, points, yx  # the connectivity pass reads only the labels
     min_size = max(1, int(_MIN_REGION_FRACTION * spacing**2))
+    yield
     return enforce_connectivity(labels, min_size)
+
+
+def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
+    """Segment a Lab image into roughly ``params.num_superpixels`` blocks.
+
+    Runs windowed k-means until the mean center displacement (in
+    combined-distance units) drops below 0.25 or 10 iterations are done,
+    then enforces connectivity with a size floor of a quarter of S^2
+    (S = sqrt(H*W / num_superpixels)). The result is deterministic and
+    always a valid partition.
+    """
+    steps = _slic_steps(lab, params)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 def _components_first_appearance(labels: np.ndarray) -> tuple[np.ndarray, int]:

@@ -89,15 +89,22 @@ def test_unhandled_thread_exceptions_fail_the_suite():
 def test_message_passing_tests_also_run_on_one_cpu():
     # On a multi-core runner large maps and a cascade's SLIC scales take
     # their two-thread paths; a second run pinned to one CPU covers the
-    # one-thread paths.
+    # one-thread paths. A test file that sets the CPU count or the thread
+    # floor tests those paths, so it must be in that run; the files named
+    # below reach them through their inputs alone.
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
     runs = [step.get("run") or "" for step in workflow["jobs"]["tests"]["steps"]]
     pinned = [run for run in runs if "taskset -c 0 python -m pytest" in run]
     assert len(pinned) == 1
-    for name in ("test_msgpass.py", "test_msgpass_oracle.py", "test_cascade_oracle.py",
-                 "test_slic.py", "test_slic_oracle.py", "test_lab_layout.py"):
-        assert f"tests/{name}" in pinned[0].split()
+    threaded = {
+        path.name for path in (ROOT / "tests").glob("*.py")
+        if path.name != Path(__file__).name
+        and re.search(r"sched_getaffinity|_THREAD_MIN_PIXELS", path.read_text())
+    }
+    assert "test_msgpass.py" in threaded  # the search finds what it must
+    for name in sorted(threaded | {"test_msgpass_oracle.py", "test_slic.py", "test_slic_oracle.py"}):
+        assert f"tests/{name}" in pinned[0].split(), name
 
 
 def test_sources_parse_as_python_3_10():

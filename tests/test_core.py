@@ -171,6 +171,37 @@ class TestRelabelMatchesOracle:
         monkeypatch.undo()
         assert np.array_equal(got, oracle_relabel_contiguous(raw))
 
+    @pytest.mark.parametrize(
+        "form, sorted_as",
+        [("negative int64", []),  # 400 values span fewer than H*W: no sort
+         ("uint32 x100003", [np.uint32]),
+         ("int64 x1000", [np.uint32])],  # the span needs 19 bits
+    )
+    def test_spread_ids_are_shifted_into_a_narrow_dtype(self, monkeypatch, form, sorted_as):
+        # Segment ids as ground truth may carry them, 400 at 256^2.
+        ids = np.random.default_rng(5).integers(0, 400, (256, 256))
+        raw = {"negative int64": -ids - 1, "uint32 x100003": ids.astype(np.uint32) * 100003,
+               "int64 x1000": ids * 1000}[form]
+        unique = np.unique
+        seen = []
+
+        def recording(ar, *args, **kwargs):
+            seen.append(ar.dtype)
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording)
+        tracemalloc.start()
+        try:
+            got = relabel_contiguous(raw).labels
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert np.array_equal(got, oracle_relabel_contiguous(raw))
+        assert seen == sorted_as
+        if not sorted_as:  # a first-position table as small as the span
+            assert peak <= 16 * raw.size, f"{peak / raw.size:.1f} B/pixel"
+
     def test_in_range_map_scratch_memory(self):
         # A 256^2 map of 400 labels, as SLIC hands it over: the pixel
         # positions fed to np.minimum.at (8 B/pixel) and the first-pixel

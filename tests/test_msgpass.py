@@ -1,7 +1,10 @@
 import functools
 import importlib
 import math
+import sys
 import threading
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,11 +28,12 @@ from spxkit import (
     random_partition,
     refine_probabilities,
     relabel_contiguous,
-    slic_segment,
+    srgb_to_lab,
     validate_partition,
 )
 
 msgpass_module = importlib.import_module("spxkit.msgpass")
+slic_module = importlib.import_module("spxkit.slic")
 
 
 def naive_message_pass(x, partition, alpha):
@@ -358,11 +362,11 @@ class TestCascade:
     def test_slic_template_keeps_its_knobs_at_every_scale(self, monkeypatch):
         seen = []
 
-        def recording(lab, params):
+        def recording(lab, params, yx=None):
             seen.append(params)
-            return slic_segment(lab, params)
+            return slic_module._slic_steps(lab, params, yx)
 
-        monkeypatch.setattr(msgpass_module, "slic_segment", recording)
+        monkeypatch.setattr(msgpass_module, "_slic_steps", recording)
         template = SlicParams(num_superpixels=1, compactness=20.0)
         rng = np.random.default_rng(8)
         img = rng.integers(0, 256, (32, 32, 3)).astype(np.uint8)
@@ -641,6 +645,87 @@ class TestScaleSplit:
         with pytest.raises(ValueError, match=f"num_superpixels {bad} exceeds pixel count 16"):
             self.forward(4, scales=scales)
         assert len(starts) == 1
+
+
+class TestSteppedScales:
+    """A cascade's SLIC runs share one queue: each thread advances a run by
+    one k-means step, then puts it back."""
+
+    def test_threads_take_turns_on_every_scale(self, monkeypatch, starts):
+        side = math.isqrt(msgpass_module._THREAD_MIN_PIXELS - 1) + 1  # at the floor
+        sweeps = []
+        assign = slic_module._assign
+
+        def recording(lab, centers, spacing, ratio):
+            sweeps.append((threading.get_ident(), len(centers)))
+            return assign(lab, centers, spacing, ratio)
+
+        monkeypatch.setattr(slic_module, "_assign", recording)
+        runs = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads hand the queue over often
+        try:
+            for cpus in ({0, 1}, {0}):
+                set_cpus(monkeypatch, cpus)
+                runs.append((TestScaleSplit.forward(side, scales=(50, 100, 400)), sweeps[:]))
+                sweeps.clear()
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(starts) == 1 and not starts[0].is_alive()
+        ((out2, trace2), sweeps2), ((out1, trace1), sweeps1) = runs
+        # 49, 100 and 400 centres; their k-means stops after 10, 7 and 4 sweeps.
+        counts = Counter(k for _, k in sweeps1)
+        assert sorted(counts.values()) == [4, 7, 10]
+        assert Counter(k for _, k in sweeps2) == counts
+        scales_of = {}
+        for thread, k in sweeps2:
+            scales_of.setdefault(thread, set()).add(k)
+        assert len(scales_of) == 2
+        assert all(len(ks) >= 2 for ks in scales_of.values()), scales_of
+        assert np.array_equal(out2, out1)
+        for (_, a), (_, b) in zip(trace2.stages, trace1.stages):
+            assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    @pytest.mark.parametrize(
+        "scales",
+        [(1, 2, 300),  # scale 300 fails at its first step, scale 2 at its last
+         (1, 2, 4)],  # scales 2 and 4 both fail at their last step
+    )
+    def test_late_error_of_the_lowest_failing_scale_is_raised(self, monkeypatch, starts, cpus, scales):
+        monkeypatch.setattr(msgpass_module, "_THREAD_MIN_PIXELS", 1)
+        set_cpus(monkeypatch, cpus)
+        enforce = slic_module.enforce_connectivity
+
+        def failing(labels, min_size):
+            # On a 16x16 image min_size is 64 // scale: scales 2 and up fail.
+            if min_size <= 32:
+                raise ValueError(f"connectivity failed at min_size {min_size}")
+            return enforce(labels, min_size)
+
+        monkeypatch.setattr(slic_module, "enforce_connectivity", failing)
+        with pytest.raises(ValueError, match="failed at min_size 32$"):
+            TestScaleSplit.forward(16, scales=scales)
+        assert len(starts) == len(cpus) - 1
+        assert not any(t.is_alive() for t in starts)
+
+    @pytest.mark.parametrize("cpus, bound", [({0, 1}, 100), ({0}, 64)])
+    def test_scratch_memory(self, monkeypatch, cpus, bound):
+        # Two steps run at once on two CPUs, one on one CPU; the three runs
+        # share one array of pixel coordinates.
+        rng = np.random.default_rng(0)
+        cells = rng.uniform(0, 255, (16, 16, 3))
+        img = np.kron(cells, np.ones((32, 32, 1))) + rng.normal(0.0, 4.0, (512, 512, 3))
+        lab = srgb_to_lab(np.clip(img, 0, 255).astype(np.uint8))
+        set_cpus(monkeypatch, cpus)
+        msgpass_module._segment_scales(lab[:32, :32], SlicParams(1), (2, 3, 4))  # imports out of the peak
+        tracemalloc.start()
+        try:
+            msgpass_module._segment_scales(lab, SlicParams(1), (200, 300, 400))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 512 * 512, f"{peak / 512**2:.1f} B/pixel"
 
 
 @pytest.mark.parametrize("workload", ["msp-smooth", "msp-train", "refine-qs"])
