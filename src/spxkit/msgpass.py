@@ -10,26 +10,15 @@ operator itself applied to the upstream gradient.
 The multiscale form chains single-scale passes over partitions of
 strictly increasing block count (large blocks first), generating
 superpixels from the full-resolution image and mapping them down to
-feature resolution by per-cell majority vote. A cascade's SLIC scales
-are independent runs that share one queue and one array of pixel
-coordinates: a thread takes a run, advances it by one k-means step and
-puts it back, so two threads (see ``_THREAD_MIN_PIXELS``) stay busy
-until one run is left. Beside the shared Lab image, scales 200/300/400
-at 512^2 peak at ~96 B/pixel on two threads (two steps' scratch at
-once) and ~62 B/pixel on one. Quick Shift's scales share one sigma
-sweep on the calling thread.
+feature resolution by per-cell majority vote. Quick Shift's scales
+share one sigma sweep on the calling thread.
 
 All arithmetic accumulates in float64 in a fixed row-major order, so
 results are bit-reproducible run to run. A pass or a whole cascade runs
 channel by channel: all stages of one channel run, each rounded through
 that channel of the C-order output, before the next channel starts.
-A large map's channels may run on two threads (see
-``_THREAD_MIN_PIXELS``). Neither split changes any arithmetic, so
-outputs, and the error raised, do not depend on the thread.
-Beside the output, each running thread, at most two, keeps one float64
-row and one message row, each one channel long: O(H*W). Block sums are
-one sparse product per channel with the partition's cached CSR
-membership matrix (see
+Block sums are one sparse product per channel with the partition's
+cached CSR membership matrix (see
 :class:`~spxkit.core.SuperpixelPartition`): a CSR row is summed from 0.0
 over its entries in ascending column order, which is the row-major pixel
 order in which ``np.bincount(labels, weights=row)`` accumulates, and
@@ -44,6 +33,19 @@ float64 map whose block sum overflows is rejected too, with an error
 that says so. An output that overflows its dtype raises ``ValueError``
 rather than holding inf. With several faults in one map, the first
 channel holding one, at any stage, sets the error.
+
+A map's channels, like a cascade's SLIC scales, are jobs in one queue
+that up to two threads share (see ``_THREAD_MIN_PIXELS``): a thread
+pops a job, runs one step of it and puts it back unless it is done, so
+neither thread idles while two jobs are left. A channel's step is all
+its stages; a SLIC run's is one k-means step or its connectivity pass.
+No step's arithmetic depends on the thread, and the lowest failing
+job's error is raised, so outputs, partitions and errors are those of
+one thread. Beside the output, each running thread keeps one float64
+row and one message row, each one channel long: O(H*W). The SLIC runs
+share one array of pixel coordinates; beside the Lab image, scales
+200/300/400 at 512^2 peak at ~96 B/pixel on two threads (two steps'
+scratch at once) and ~62 B/pixel on one.
 """
 
 from __future__ import annotations
@@ -85,26 +87,27 @@ __all__ = [
     "refine_probabilities",
 ]
 
-# _in_halves splits jobs across two threads when there are 2 or more
-# of them, each of at least _THREAD_MIN_PIXELS pixels, and 2 or more
-# CPUs in the process's affinity mask, so taskset or a cpuset keeps
-# every job on the calling thread. The jobs are a map's channels in
-# _stages and a cascade's SLIC scales in _segment_scales; for both,
-# the thread's start and contention outweigh a small job's share. Two
+# _share runs its jobs on two threads when there are 2 or more of
+# them, each of at least _THREAD_MIN_PIXELS pixels, and 2 or more CPUs
+# in the process's affinity mask, so taskset or a cpuset keeps every
+# job on the calling thread. The jobs are a map's channels in _stages
+# and a cascade's SLIC scales in _segment_scales; for both, the
+# thread's start and contention outweigh a small job's share. Two
 # threads' time over one thread's, medians of 15-21 interleaved calls
 # on a 2-core Xeon, as ranges (and the median) over repeated sweeps; a
 # 3-stage cascade_apply over Voronoi partitions of 200/300/400 blocks,
-# and SLIC scales 200/300/400 on Voronoi scenes, stepped from one queue:
+# and SLIC scales 200/300/400 on Voronoi scenes, both stepped from one
+# queue:
 #
-#   pixels per job    64 channels   8 channels   SLIC scales
-#   160^2  (25,600)   0.79-0.88                  1.04-1.26 (1.18)
-#   176^2  (30,976)   0.75-1.02                  1.02-1.19 (1.09)
-#   191x193 (36,863)  0.67-0.74     0.77-0.95    0.80-1.11 (1.01)
-#   192^2  (36,864)   0.68-0.76     0.85-0.95    0.97-1.13 (1.02)
-#   256^2  (65,536)   0.60                       0.71-1.00 (0.81)
+#   pixels per job    64 channels        8 channels         SLIC scales
+#   160^2  (25,600)   0.82-1.21 (1.04)   1.09-1.49 (1.29)   1.04-1.26 (1.18)
+#   176^2  (30,976)   0.71-1.05 (0.93)   0.83-1.42 (1.08)   1.02-1.19 (1.09)
+#   191x193 (36,863)  0.63-1.19 (0.79)   0.67-1.24 (0.94)   0.80-1.11 (1.01)
+#   192^2  (36,864)   0.60-0.99 (0.91)   0.63-1.25 (0.92)   0.97-1.13 (1.02)
+#   256^2  (65,536)   0.57-0.87 (0.69)   0.66-1.03 (0.74)   0.71-1.00 (0.81)
 #
-# Maps of 2 or 4 channels still read 1.04-1.43x at 192^2 (at most
-# 0.7 ms a call) and 0.74-0.93x at 256^2.
+# Maps of 2 or 4 channels still read 0.89-1.44x at 192^2 (medians
+# 1.15 and 1.06, at most 0.75 ms a call) and 0.73-1.22x (0.88) at 256^2.
 _THREAD_MIN_PIXELS = 192 * 192
 
 
@@ -170,47 +173,62 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_halves(jobs: int, pixels: int, run) -> None:
-    """Call ``run(lo, hi)`` over jobs ``0 .. jobs - 1`` of ``pixels`` pixels each.
+def _share(jobs: int, pixels: int, step) -> None:
+    """Run jobs ``0 .. jobs - 1`` of ``pixels`` pixels each from one queue.
 
-    When the jobs split (see ``_THREAD_MIN_PIXELS``), one extra thread
-    calls ``run(mid, jobs)`` while the calling thread calls
-    ``run(0, mid)``, ``mid = (jobs + 1) // 2``; both run to the end, and
-    the lower half's error is raised before the upper half's, as in job
-    order. If the OS refuses the thread, the calling thread runs them all.
-    A ``run`` that takes its jobs from a shared queue may ignore its half.
+    Each thread pops a job, calls ``step(job, thread)`` and, if that
+    returns True, pushes the job back at the tail. ``thread`` is 0 on
+    the calling thread and 1 on the extra one, which starts only when
+    the jobs split (see ``_THREAD_MIN_PIXELS``); if the OS refuses it,
+    the calling thread runs every job. A failed job is dropped, and so is
+    each job above it when next popped; once both threads are done, the
+    lowest failing job's error is raised, as in job order.
     """
-    if jobs < 2 or pixels < _THREAD_MIN_PIXELS or _usable_cpus() < 2:
-        run(0, jobs)
-        return
-    mid = (jobs + 1) // 2
-    fault = []
+    queue = deque(range(jobs))
+    faults: dict[int, Exception] = {}
+    failed = jobs  # a failed job, once one fails; no job above it can set the error
 
-    def upper() -> None:
+    def work(thread: int) -> None:
+        nonlocal failed
+        # A thread leaves once the queue is empty: every job left is then
+        # the one the other thread holds.
+        while True:
+            try:
+                i = queue.popleft()
+            except IndexError:
+                return
+            if i > failed:
+                continue
+            try:
+                again = step(i, thread)
+            except Exception as err:
+                faults[i] = err
+                failed = min(failed, i)  # a race may leave the other failed job
+            else:
+                if again:
+                    queue.append(i)
+
+    worker = None
+    if jobs >= 2 and pixels >= _THREAD_MIN_PIXELS and _usable_cpus() >= 2:
+        worker = threading.Thread(target=work, args=(1,))
         try:
-            run(mid, jobs)
-        except BaseException as err:
-            fault.append(err)
-
-    worker = threading.Thread(target=upper)
+            worker.start()
+        except RuntimeError:  # no thread to be had, e.g. at a pid limit
+            worker = None
     try:
-        worker.start()
-    except RuntimeError:  # no thread to be had, e.g. at a pid limit
-        run(0, jobs)
-        return
-    try:
-        run(0, mid)
+        work(0)
     finally:
-        worker.join()
-    if fault:
-        raise fault[0]
+        if worker is not None:
+            worker.join()
+    if faults:
+        raise faults[min(faults)]
 
 
 def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
     """Single-scale passes over ``partitions`` in order, channel by channel;
     each stage's float64 result is rounded to the input dtype, as one pass stores it.
 
-    The channels are ``_in_halves``'s jobs.
+    Each channel is one ``_share`` job, run in one step.
     """
     for part in partitions:
         x = _check_pair(features, part)
@@ -219,27 +237,26 @@ def _stages(features: np.ndarray, partitions, alpha: float) -> np.ndarray:
     out = np.empty(x.shape, x.dtype)  # C order, so each channel is one flat row
     flat = out.reshape(x.shape[0], -1)
     channels, pixels = flat.shape
-    # One row and one message buffer per half, all made by the calling
+    # One row and one message buffer per thread, all made by the calling
     # thread: made in the worker, they came from a new malloc arena and
     # raised the peak RSS of a training step by 2.3 MiB.
     buffers = np.empty((2, 2, pixels))
 
-    def run(lo: int, hi: int) -> None:
-        row, message = buffers[int(lo > 0)]  # a bool index would be a mask
-        # numpy's error state is per thread, so each half sets its own.
+    def channel(c: int, thread: int) -> None:
+        row, message = buffers[thread]
+        # numpy's error state is per thread, so each step sets its own.
         with np.errstate(over="raise"):
-            for c in range(lo, hi):
-                out[c] = x[c]
-                for plan in plans:
-                    row[...] = flat[c]
-                    means = _block_sums(row, plan, c) / plan.sizes
-                    # "clip" gathers into message directly; no index is out of range.
-                    np.take(alpha * means, plan.index, out=message, mode="clip")
-                    row += message
-                    flat[c] = row  # this stage's output, in the input dtype
+            out[c] = x[c]
+            for plan in plans:
+                row[...] = flat[c]
+                means = _block_sums(row, plan, c) / plan.sizes
+                # "clip" gathers into message directly; no index is out of range.
+                np.take(alpha * means, plan.index, out=message, mode="clip")
+                row += message
+                flat[c] = row  # this stage's output, in the input dtype
 
     try:
-        _in_halves(channels, pixels, run)
+        _share(channels, pixels, channel)
     except FloatingPointError:
         raise ValueError(
             f"message passing overflows the {x.dtype} output: "
@@ -382,49 +399,31 @@ def _segment_scales(
     """Full-resolution partitions of ``lab``, one per scale, in scale order.
 
     Quick Shift's scales share one sigma sweep on the calling thread:
-    each distinct sigma is segmented once. SLIC's scales are
-    ``_slic_steps`` runs in one FIFO queue, ``_in_halves``'s jobs of the
-    image's pixels each: every thread it runs pops a run, advances it
-    one step and pushes it back, and a finished run's partition goes to
+    each distinct sigma is segmented once. SLIC's scales are ``_share``
+    jobs of the image's pixels each, and a job's step advances its
+    ``_slic_steps`` run by one step; a finished run's partition goes to
     its scale's slot. Each run's arithmetic is its own, so the labels do
-    not depend on the threads; the lowest failing scale's error is
-    raised once every thread is done.
+    not depend on the threads, and the lowest failing scale's error is
+    raised.
     """
     if isinstance(segmenter, QuickShiftParams):
         memo: dict[float, SuperpixelPartition] = {}  # sigma -> partition
         return [quickshift_match_scale(lab, segmenter, s, memo=memo) for s in scales]
     h, w = lab.shape[:2]
     yx = np.indices((h, w), dtype=np.float64).reshape(2, -1)
-    runs = deque(
-        (i, _slic_steps(lab, replace(segmenter, num_superpixels=s), yx))
-        for i, s in enumerate(scales)
-    )
+    runs = [_slic_steps(lab, replace(segmenter, num_superpixels=s), yx) for s in scales]
     del yx  # each run lets go of it before its connectivity pass
     parts: list = [None] * len(scales)
-    faults: dict[int, Exception] = {}
 
-    def advance() -> None:
-        # A thread leaves once the queue is empty: every run left is then
-        # the one the other thread holds.
-        while True:
-            try:
-                i, steps = runs.popleft()
-            except IndexError:
-                return
-            try:
-                next(steps)
-            except StopIteration as done:
-                parts[i] = done.value
-            except Exception as err:
-                faults[i] = err
-            else:
-                runs.append((i, steps))
+    def advance(i: int, thread: int) -> bool:
+        try:
+            next(runs[i])
+        except StopIteration as done:
+            parts[i] = done.value
+            return False
+        return True
 
-    # Each thread, whichever half _in_halves gives it, takes its steps
-    # from the one queue.
-    _in_halves(len(scales), h * w, lambda lo, hi: advance())
-    if faults:
-        raise faults[min(faults)]
+    _share(len(scales), h * w, advance)
     return parts
 
 

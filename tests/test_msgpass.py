@@ -3,6 +3,7 @@ import importlib
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -495,16 +496,16 @@ class TestTwoThreads:
         monkeypatch.setattr(msgpass_module, "_THREAD_MIN_PIXELS", 1)
         monkeypatch.setattr(msgpass_module, "_usable_cpus", lambda: 2)
 
-    def test_lower_half_error_is_raised_first(self, split, starts):
-        # Channel 0 (the calling thread's) overflows float32 at the second
-        # stage; channel 1 (the worker's) holds a NaN, found at once.
+    def test_lowest_of_two_failing_channels_sets_the_error(self, split, starts):
+        # Channel 0 overflows float32 at the second stage; channel 1 holds
+        # a NaN, found at once, whichever thread takes it.
         x = np.full((2, 2, 2), 2e38, dtype=np.float32)
         x[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="overflows the float32 output"):
             cascade_apply(x, [ONE_BLOCK, ONE_BLOCK], 0.5)
         assert len(starts) == 1
 
-    def test_upper_half_error_alone_is_raised(self, split, starts):
+    def test_last_channel_failing_alone_sets_the_error(self, split, starts):
         x = np.ones((3, 2, 2), dtype=np.float32)
         x[2, 1, 1] = np.inf
         with pytest.raises(ValueError, match="must be finite"):
@@ -577,6 +578,110 @@ class TestTwoThreads:
         assert msgpass_module._usable_cpus() == 3
         monkeypatch.setattr(msgpass_module.os, "cpu_count", lambda: None)
         assert msgpass_module._usable_cpus() == 1
+
+
+class TestSharedQueue:
+    """_share's jobs wait in one queue; each running thread pops one,
+    steps it and pushes it back at the tail until it is done."""
+
+    def test_slow_channel_holds_only_its_thread(self, monkeypatch, starts):
+        rng = np.random.default_rng(17)
+        part = random_partition(16, 16, 5, rng)
+        x = rng.standard_normal((4, 16, 16)).astype(np.float32)
+        monkeypatch.setattr(msgpass_module, "_THREAD_MIN_PIXELS", 1)
+        monkeypatch.setattr(msgpass_module, "_usable_cpus", lambda: 1)
+        want = message_pass(x, part, 0.3)
+        channels_of = {}
+        block_sums = msgpass_module._block_sums
+
+        def slow(row, plan, c):
+            channels_of.setdefault(threading.get_ident(), []).append(c)
+            if c == 0:
+                time.sleep(0.2)  # the other thread's row buffer must not change
+            return block_sums(row, plan, c)
+
+        monkeypatch.setattr(msgpass_module, "_block_sums", slow)
+        monkeypatch.setattr(msgpass_module, "_usable_cpus", lambda: 2)
+        got = message_pass(x, part, 0.3)
+        assert len(starts) == 1
+        assert sorted(channels_of.values()) == [[0], [1, 2, 3]]
+        assert np.array_equal(got, want)
+
+    def test_one_thread_steps_jobs_in_queue_order(self, monkeypatch):
+        set_cpus(monkeypatch, {0})
+        left = [3, 1, 2]  # steps each job needs
+        calls = []
+
+        def step(i, thread):
+            calls.append((i, thread))
+            left[i] -= 1
+            return left[i] > 0
+
+        msgpass_module._share(3, msgpass_module._THREAD_MIN_PIXELS, step)
+        assert calls == [(0, 0), (1, 0), (2, 0), (0, 0), (2, 0), (0, 0)]
+
+    def test_each_job_runs_its_steps_one_at_a_time(self, monkeypatch, starts):
+        # Both threads pop and push back 60 jobs of 1-5 steps, handing
+        # the interpreter over inside every step: no job may be lost,
+        # stepped twice at once or stepped once too often.
+        set_cpus(monkeypatch, {0, 1})
+        need = [1 + i % 5 for i in range(60)]
+        done = [0] * 60
+        held, threads = set(), set()
+
+        def step(i, thread):
+            assert i not in held
+            held.add(i)
+            threads.add(thread)
+            time.sleep(0)
+            done[i] += 1
+            held.discard(i)
+            return done[i] < need[i]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            msgpass_module._share(60, msgpass_module._THREAD_MIN_PIXELS, step)
+        finally:
+            sys.setswitchinterval(switch)
+        assert done == need
+        assert threads == {0, 1}
+        assert len(starts) == 1 and not starts[0].is_alive()
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_lowest_failing_job_error_is_raised(self, monkeypatch, starts, cpus):
+        # On one thread the steps run as jobs 0, 1, 2 (fails), 1, 1 (fails):
+        # job 2 fails first, and job 1, below it, still runs to its end.
+        set_cpus(monkeypatch, cpus)
+        left = [1, 3, 1]
+
+        def step(i, thread):
+            left[i] -= 1
+            if i > 0 and left[i] == 0:
+                raise ValueError(f"job {i} failed")
+            return left[i] > 0
+
+        with pytest.raises(ValueError, match="^job 1 failed$"):
+            msgpass_module._share(3, msgpass_module._THREAD_MIN_PIXELS, step)
+        assert left == [0, 0, 0]
+        assert len(starts) == len(cpus) - 1
+
+    def test_channels_above_a_failed_channel_are_skipped(self, monkeypatch):
+        # A NaN in channel 1 raises before channels 2 and 3 run, as when
+        # one thread ran the channels in one loop.
+        x = np.ones((4, 2, 2), dtype=np.float32)
+        x[1, 0, 0] = np.nan
+        seen = []
+        block_sums = msgpass_module._block_sums
+
+        def recording(row, plan, c):
+            seen.append(c)
+            return block_sums(row, plan, c)
+
+        monkeypatch.setattr(msgpass_module, "_block_sums", recording)
+        with pytest.raises(ValueError, match="must be finite"):
+            cascade_apply(x, [ONE_BLOCK, ONE_BLOCK], 0.5)
+        assert seen == [0, 0, 1]
 
 
 class TestScaleSplit:
