@@ -120,6 +120,18 @@ def _read_netpbm(path: str, magic: bytes, samples: int) -> np.ndarray:
     return arr.reshape(shape).copy()
 
 
+def _write_netpbm(image: np.ndarray, path: str, magic: bytes, samples: int) -> None:
+    arr = np.asarray(image)
+    tail = (samples,) if samples > 1 else ()
+    if arr.ndim != 2 + len(tail) or arr.shape[2:] != tail or arr.dtype != np.uint8:
+        shape = ", ".join(["H", "W", *map(str, tail)])
+        raise ValueError(f"image must be ({shape}) uint8, got {arr.shape} {arr.dtype}")
+    h, w = arr.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(arr.tobytes())
+
+
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary P6 PPM into an (H, W, 3) uint8 array."""
     return _read_netpbm(path, b"P6", 3)
@@ -127,13 +139,7 @@ def read_ppm(path: str) -> np.ndarray:
 
 def write_ppm(image: np.ndarray, path: str) -> None:
     """Write an (H, W, 3) uint8 array as binary P6 PPM, maxval 255."""
-    arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
-        raise ValueError(f"image must be (H, W, 3) uint8, got {arr.shape} {arr.dtype}")
-    h, w = arr.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+    _write_netpbm(image, path, b"P6", 3)
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -143,13 +149,7 @@ def read_pgm(path: str) -> np.ndarray:
 
 def write_pgm(image: np.ndarray, path: str) -> None:
     """Write an (H, W) uint8 array as binary P5 PGM, maxval 255."""
-    arr = np.asarray(image)
-    if arr.ndim != 2 or arr.dtype != np.uint8:
-        raise ValueError(f"image must be (H, W) uint8, got {arr.shape} {arr.dtype}")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+    _write_netpbm(image, path, b"P5", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def read_mspt(path: str) -> np.ndarray:
 
 def write_mspt(tensor: np.ndarray, path: str) -> None:
     """Write a float32 or uint32 array, in either byte order, as an MSPT file."""
-    arr = np.ascontiguousarray(tensor)
+    arr = np.asarray(tensor)  # not ascontiguousarray, which makes a 0-D array 1-D
     kind = (arr.dtype.kind, arr.dtype.itemsize)  # the same for either byte order
     if kind == ("f", 4):
         code = 0

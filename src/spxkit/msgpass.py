@@ -38,7 +38,8 @@ A map's channels, like a cascade's SLIC scales, are jobs in one queue
 that up to two threads share (see ``_THREAD_MIN_PIXELS``): a thread
 pops a job, runs one step of it and puts it back unless it is done, so
 neither thread idles while two jobs are left. A channel's step is all
-its stages; a SLIC run's is one k-means step or its connectivity pass.
+its stages; a SLIC run's is one k-means step or its connectivity pass,
+and the run yields its partition last.
 No step's arithmetic depends on the thread, and the lowest failing
 job's error is raised, so outputs, partitions and errors are those of
 one thread. Beside the output, each running thread keeps one float64
@@ -401,8 +402,8 @@ def _segment_scales(
     Quick Shift's scales share one sigma sweep on the calling thread:
     each distinct sigma is segmented once. SLIC's scales are ``_share``
     jobs of the image's pixels each, and a job's step advances its
-    ``_slic_steps`` run by one step; a finished run's partition goes to
-    its scale's slot. Each run's arithmetic is its own, so the labels do
+    ``_slic_steps`` run by one step; a run yields its partition last,
+    into its scale's slot. Each run's arithmetic is its own, so the labels do
     not depend on the threads, and the lowest failing scale's error is
     raised.
     """
@@ -416,12 +417,8 @@ def _segment_scales(
     parts: list = [None] * len(scales)
 
     def advance(i: int, thread: int) -> bool:
-        try:
-            next(runs[i])
-        except StopIteration as done:
-            parts[i] = done.value
-            return False
-        return True
+        parts[i] = next(runs[i])
+        return parts[i] is None
 
     _share(len(scales), h * w, advance)
     return parts

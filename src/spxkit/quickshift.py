@@ -295,8 +295,10 @@ def _parents(
     for k in every:
         is_open = best_d2[k][inner] >= 4.0
         n_open = np.count_nonzero(is_open)
-        if not n_open or all(o in nearest for o in links if k in o[-1]):
-            continue  # settled, or no link offset of sigma k is past the 8 nearest
+        # Settled, or every link offset of sigma k is among the 8 nearest: a
+        # radius >= 2 (capped at max(H, W) - 1) holds (0, 2) or (2, 0), at d2 4.
+        if not n_open or radii[k] < 2 or tau2 < 4:
+            continue
         if n_open > _DENSE_OPEN * h * w:
             dense.append(k)
         else:

@@ -16,13 +16,13 @@ Beside its Lab input, a run keeps one (2, H*W) array of pixel x and y
 for the center updates, which runs on one image may share, and one
 chunk of window distances for the assignment; both are gone before the
 connectivity pass, whose own scratch is O(H*W) too. ``_slic_steps``
-runs the same code one k-means step at a time, so a cascade can
-interleave its scales' runs.
+runs the same code one k-means step at a time and yields its partition
+last, so a cascade can interleave its scales' runs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,13 +244,13 @@ def _update_centers(
 
 def _slic_steps(
     lab: np.ndarray, params: SlicParams, yx: np.ndarray | None = None
-) -> Generator[None, None, SuperpixelPartition]:
-    """:func:`slic_segment` one step at a time; returns its partition.
+) -> Iterator[SuperpixelPartition | None]:
+    """:func:`slic_segment` one step at a time; yields its partition last.
 
-    The generator yields before each ``_assign`` sweep and before the
-    connectivity pass, so runs on one image can take turns on a thread
-    or share threads; a step's arithmetic does not depend on who runs
-    it. ``yx`` is the (2, H*W) float64 array of pixel y and x,
+    The generator yields None before each ``_assign`` sweep and before
+    the connectivity pass, so runs on one image can take turns on a
+    thread or share threads; a step's arithmetic does not depend on who
+    runs it. ``yx`` is the (2, H*W) float64 array of pixel y and x,
     ``np.indices((H, W), dtype=np.float64).reshape(2, -1)``, which runs
     on one image may share; each run makes its own when it is None, and
     drops its reference before the connectivity pass.
@@ -284,7 +284,9 @@ def _slic_steps(
     del lab, points, yx  # the connectivity pass reads only the labels
     min_size = max(1, int(_MIN_REGION_FRACTION * spacing**2))
     yield
-    return enforce_connectivity(labels, min_size)
+    partition = enforce_connectivity(labels, min_size)
+    del labels  # a cascade's finished run waits, suspended, for its others
+    yield partition
 
 
 def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
@@ -296,12 +298,8 @@ def slic_segment(lab: np.ndarray, params: SlicParams) -> SuperpixelPartition:
     (S = sqrt(H*W / num_superpixels)). The result is deterministic and
     always a valid partition.
     """
-    steps = _slic_steps(lab, params)
-    while True:
-        try:
-            next(steps)
-        except StopIteration as done:
-            return done.value
+    *_, partition = _slic_steps(lab, params)
+    return partition
 
 
 def _components_first_appearance(labels: np.ndarray) -> tuple[np.ndarray, int]:

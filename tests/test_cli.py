@@ -580,6 +580,21 @@ class TestGradcheck:
         assert code == 0
         assert json.loads(out)["adjoint_err"] <= 1e-6
 
+    def test_failed_check_exits_3(self, capsys, monkeypatch):
+        from spxkit import cli
+
+        failed = {"pass": False, "max_rel_err": 0.5, "adjoint_err": 0.25}
+        monkeypatch.setattr(cli, "gradient_check", lambda **kwargs: failed)
+        code, out, err = run(
+            capsys,
+            ["gradcheck", "--channels", "1", "--height", "4", "--width", "4",
+             "--blocks", "2", "--seed", "0"],
+        )
+        assert code == 3
+        assert json.loads(out) == failed
+        assert err == ("algorithm error: gradient check failed: "
+                       "max_rel_err=5.000e-01, adjoint_err=2.500e-01\n")
+
     def test_blocks_above_pixel_count_exit_1(self, capsys):
         code, _, _ = run(
             capsys,

@@ -9,9 +9,12 @@ from hypothesis.extra import numpy as hnp
 
 from spxkit import (
     MspConfig,
+    QuickShiftParams,
     SlicParams,
     SuperpixelPartition,
+    quickshift_segment,
     relabel_contiguous,
+    slic_segment,
     validate_partition,
 )
 from spxkit.core import check_count
@@ -284,6 +287,10 @@ class TestMspConfig:
         with pytest.raises(ValueError, match="strictly increasing"):
             MspConfig(scales=(100, 100))
 
+    def test_rejects_no_scales(self):
+        with pytest.raises(ValueError, match="scales must be nonempty"):
+            MspConfig(scales=())
+
     def test_rejects_scale_below_one(self):
         with pytest.raises(ValueError, match="scale"):
             MspConfig(scales=(0, 10))
@@ -298,3 +305,16 @@ class TestMspConfig:
     def test_rejects_unknown_segmenter(self):
         with pytest.raises(ValueError, match="segmenter"):
             MspConfig(segmenter="watershed")
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (8, 8, 4), (8, 8, 3, 1)])
+@pytest.mark.parametrize(
+    "segment",
+    [lambda lab: slic_segment(lab, SlicParams(4)),
+     lambda lab: quickshift_segment(lab, QuickShiftParams())],
+)
+def test_segmenters_refuse_a_lab_image_of_the_wrong_shape(segment, shape):
+    # srgb_to_lab always returns (H, W, 3), so only a direct call can
+    # hand a segmenter another shape.
+    with pytest.raises(ValueError, match=r"lab image must have shape \(H, W, 3\)"):
+        segment(np.zeros(shape))

@@ -89,6 +89,10 @@ class TestConfusionMatrix:
 
 
 class TestMiou:
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"must be square, got \(2, 3\)"):
+            miou(np.zeros((2, 3)))
+
     def test_hand_computation(self):
         cm = confusion_matrix(PRED_14, GT_14, 2)
         mean, per_class = miou(cm)

@@ -29,6 +29,7 @@ from spxkit import (
     random_partition,
     refine_probabilities,
     relabel_contiguous,
+    slic_segment,
     srgb_to_lab,
     validate_partition,
 )
@@ -429,6 +430,29 @@ class TestCascade:
     def test_trace_rejects_no_stages(self):
         with pytest.raises(ValueError, match="stages must be nonempty"):
             CascadeTrace(stages=())
+
+    def test_trace_rejects_partitions_of_two_shapes(self):
+        wide = part_from([[0, 0, 1], [0, 0, 1]])
+        with pytest.raises(ValueError, match="disagree on shape"):
+            CascadeTrace(stages=((1, ONE_BLOCK), (2, wide)))
+
+    @pytest.mark.parametrize(
+        "image, features, message",
+        [
+            (np.zeros((8, 8), np.uint8), None, r"image must have shape \(H, W, 3\)"),
+            (np.zeros((8, 8, 4), np.uint8), None, r"image must have shape \(H, W, 3\)"),
+            (np.zeros((8, 8, 3), np.float64), None, "image must be uint8"),
+            (np.zeros((1, 8, 3), np.uint8), None, "image must be at least 2x2"),
+            (None, np.zeros((8, 8)), r"feature map must have shape \(C, H, W\)"),
+            (None, np.zeros((1, 8, 8), np.int32), "feature map must be floating point"),
+            (None, np.zeros((0, 8, 8)), "every dimension must be >= 1"),
+        ],
+    )
+    def test_forward_rejects_bad_inputs(self, image, features, message):
+        image = np.zeros((8, 8, 3), np.uint8) if image is None else image
+        features = np.zeros((1, 4, 4)) if features is None else features
+        with pytest.raises(ValueError, match=message):
+            cascade_forward(features, image, MspConfig(scales=(2,)))
 
     def test_errors_come_in_channel_order(self):
         # Channel 0 overflows float32 only at the second stage; channel 1
@@ -831,6 +855,40 @@ class TestSteppedScales:
         finally:
             tracemalloc.stop()
         assert peak <= bound * 512 * 512, f"{peak / 512**2:.1f} B/pixel"
+
+
+class TestSlicRunItems:
+    """A SLIC run yields None before each step and its partition last."""
+
+    def test_runs_end_with_the_partitions_of_slic_segment(self, monkeypatch, starts):
+        rng = np.random.default_rng(21)
+        cells = rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)
+        lab = srgb_to_lab(cells.repeat(8, axis=0).repeat(8, axis=1))
+        scales = (5, 10, 20)
+        sweeps = []
+        assign = slic_module._assign
+
+        def counting(*args):
+            sweeps.append(1)
+            return assign(*args)
+
+        monkeypatch.setattr(slic_module, "_assign", counting)
+        want = []
+        for s in scales:
+            sweeps.clear()
+            *steps, last = slic_module._slic_steps(lab, SlicParams(s))
+            assert steps == [None] * (len(sweeps) + 1)  # each sweep, then connectivity
+            assert isinstance(last, SuperpixelPartition)
+            want.append(slic_segment(lab, SlicParams(s)).labels)
+            assert np.array_equal(last.labels, want[-1])
+        monkeypatch.setattr(msgpass_module, "_THREAD_MIN_PIXELS", 1)
+        for cpus in ({0, 1}, {0}):
+            set_cpus(monkeypatch, cpus)
+            parts = msgpass_module._segment_scales(lab, SlicParams(1), scales)
+            assert len(parts) == len(want)
+            for part, labels in zip(parts, want):
+                assert np.array_equal(part.labels, labels)
+        assert len(starts) == 1  # the two-CPU call's
 
 
 @pytest.mark.parametrize("workload", ["msp-smooth", "msp-train", "refine-qs"])

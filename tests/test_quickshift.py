@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import math
 import warnings
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_quickshift_oracle import oracle_quickshift_segment
 
 from spxkit import (
     QuickShiftParams,
@@ -13,6 +16,8 @@ from spxkit import (
     srgb_to_lab,
     validate_partition,
 )
+
+qs_module = importlib.import_module("spxkit.quickshift")
 
 
 def brute_force_quickshift(lab, sigma, tau, color_ratio):
@@ -249,3 +254,44 @@ def test_match_scale_refuses_a_ladder_sigma_only_when_it_reaches_it():
         quickshift_match_scale(lab, params, 400, memo=memo)
     assert list(memo) == [1e-154, 1e-154 * 0.8, 1e-154 * 0.8 * 0.8]
     assert quickshift_match_scale(lab, params, 2).num_blocks == 1  # met at once
+
+
+def test_past_the_nearest_offsets_rule_matches_a_scan_of_the_window():
+    # _parents links a sigma past the 8 nearest offsets only if its
+    # radius and tau are both 2 or more. The scan it replaces looked for
+    # a link offset of the sigma's window that is not among the 8 nearest.
+    for h, w in itertools.product(range(2, 6), repeat=2):
+        radii = [min(r, max(h, w) - 1) for r in range(5)]  # capped as in _parents
+        window = qs_module._window(h, w, radii, h)
+        for tau in (0.0, 1.5, 2.0, 3.0, 10.0):
+            tau2 = tau**2
+            links = [o for o in window if 0 < o[0] ** 2 + o[1] ** 2 <= tau2]
+            nearest = [o for o in links if o[0] ** 2 + o[1] ** 2 <= 2]
+            for k, radius in enumerate(radii):
+                scan = all(o in nearest for o in links if k in o[-1])
+                assert scan == (radius < 2 or tau2 < 4), (h, w, radius, tau)
+
+
+def test_dense_walk_skips_offsets_only_a_wider_sigma_holds(monkeypatch):
+    # Noise at colour ratio 0.1 leaves more than _DENSE_OPEN of the pixels
+    # open after the 8 nearest offsets at sigma 0.5, but not at sigma 2.
+    # Only sigma 0.5 (radius 2) then walks the link offsets within tau 5,
+    # passing over those at rings 3 to 5, which only sigma 2 (radius 6) holds.
+    rng = np.random.default_rng(0)
+    cells = rng.integers(0, 256, (3, 3, 3))
+    img = np.kron(cells, np.ones((8, 8, 1))) + rng.normal(0, 16, (24, 24, 3))
+    lab = srgb_to_lab(np.clip(img, 0, 255).astype(np.uint8))
+    params = QuickShiftParams(sigma=2.0, tau=5.0, color_ratio=0.1)
+    sigmas = [2.0, 0.5]
+    walked, walk = [], qs_module._link_walk
+
+    def recording_walk(planes, w, offsets, ks, *rest):
+        walked.append((max(max(abs(o[0]), abs(o[1])) for o in offsets), list(ks)))
+        return walk(planes, w, offsets, ks, *rest)
+
+    monkeypatch.setattr(qs_module, "_link_walk", recording_walk)
+    parts = qs_module._segment_sigmas(lab, params, sigmas)
+    assert walked == [(1, [0, 1]), (5, [1])]  # the 8 nearest, then sigma 0.5 alone
+    for sigma, part in zip(sigmas, parts):
+        want = oracle_quickshift_segment(lab, QuickShiftParams(sigma, 5.0, 0.1))
+        assert np.array_equal(part.labels, want.labels)
