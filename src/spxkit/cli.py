@@ -221,8 +221,8 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    pred = _read_tensor(args.pred, 2, np.uint32).astype(np.int64)
-    gt = _read_tensor(args.gt, 2, np.uint32).astype(np.int64)
+    pred = _read_tensor(args.pred, 2, np.uint32)
+    gt = _read_tensor(args.gt, 2, np.uint32)
     check_count("--classes", args.classes, 1, np.iinfo(np.int64).max)
     report = evaluate_segmentation(
         pred, gt, args.classes, args.ignore, args.boundary_tol
@@ -232,8 +232,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_spx_eval(args) -> int:
-    labels = _read_tensor(args.labels, 2, np.uint32).astype(np.int64)
-    gt = _read_tensor(args.gt, 2, np.uint32).astype(np.int64)
+    labels = _read_tensor(args.labels, 2, np.uint32)
+    gt = _read_tensor(args.gt, 2, np.uint32)
     partition = relabel_contiguous(labels)
     report_args = {
         "undersegmentation_error": undersegmentation_error(partition, gt),

@@ -206,6 +206,8 @@ def write_mspt(tensor: np.ndarray, path: str) -> None:
         raise ValueError(f"MSPT stores 1- to 4-D tensors, got ndim {arr.ndim}")
     if min(arr.shape) < 1:
         raise ValueError(f"every dim must be >= 1, got {arr.shape}")
+    if max(arr.shape) >= 2**32:  # dims are stored as uint32
+        raise ValueError(f"every dim must be < 2**32, got {arr.shape}")
     header = bytearray(_MSPT_MAGIC)
     header += bytes([_MSPT_VERSION, code, arr.ndim])
     for d in arr.shape:

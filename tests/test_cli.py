@@ -16,6 +16,8 @@ from spxkit import (
 )
 from spxkit.cli import main
 
+from _child import run_python
+
 X22 = np.array([[[1.0, 3.0], [5.0, 7.0]]], dtype=np.float32)
 
 
@@ -425,10 +427,12 @@ class TestMetrics:
     def test_1x4_fixture(self, capsys, tmp_path):
         pred = self.write_labels(tmp_path, "pred.mspt", [[0, 0, 1, 1]])
         gt = self.write_labels(tmp_path, "gt.mspt", [[0, 1, 1, 1]])
-        code, out, _ = run(capsys, ["metrics", "--pred", pred, "--gt", gt,
-                                    "--classes", "2"])
-        assert code == 0
-        assert abs(json.loads(out)["miou"] - 7.0 / 12.0) <= 1e-9
+        # No uint32 label equals -1, so --ignore -1 ignores nothing, as 255 does here.
+        for ignore in ([], ["--ignore", "-1"]):
+            code, out, _ = run(capsys, ["metrics", "--pred", pred, "--gt", gt,
+                                        "--classes", "2", *ignore])
+            assert code == 0
+            assert abs(json.loads(out)["miou"] - 7.0 / 12.0) <= 1e-9
 
     def test_boundary_tolerance_sweep(self, capsys, tmp_path):
         base = (np.arange(8)[None, :] >= 4) * np.ones((8, 1), dtype=int)
@@ -605,38 +609,16 @@ class TestGradcheck:
 
 
 def test_module_invocation_smoke():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    # pytest's pythonpath setting reaches only this process, not the child.
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "spxkit", "gradcheck", "--channels", "1",
-         "--height", "4", "--width", "4", "--blocks", "2", "--seed", "0"],
-        capture_output=True, text=True, env=env,
-    )
+    result = run_python("-m", "spxkit", "gradcheck", "--channels", "1",
+                        "--height", "4", "--width", "4", "--blocks", "2", "--seed", "0")
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True
 
 
 def test_gradcheck_huge_stage_count_exits_1_at_once():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "spxkit", "gradcheck", "--channels", "1", "--height", "2",
-         "--width", "2", "--blocks", "1", "--seed", "0", "--scales", str(2**62)],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
+    result = run_python("-m", "spxkit", "gradcheck", "--channels", "1", "--height", "2",
+                        "--width", "2", "--blocks", "1", "--seed", "0", "--scales", str(2**62),
+                        timeout=10)
     assert result.returncode == 1
     assert result.stderr.startswith("error: --scales must be an integer in [1, 4]")
 
@@ -696,22 +678,11 @@ def test_count_error_names_the_flag_typed(capsys, tmp_path, argv, flag):
     ],
 )
 def test_extreme_knobs_leave_stderr_clean(tmp_path, flags, code, err_start):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     rng = np.random.default_rng(3)
     img_path = tmp_path / "img.ppm"
     write_ppm(rng.integers(0, 256, (24, 24, 3)).astype(np.uint8), str(img_path))
-    env = dict(os.environ)  # the child needs src/ on its path, as above
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "spxkit", "superpixel",
-         *flags, str(img_path), "-o", str(tmp_path / "x.mspt")],
-        capture_output=True, text=True, env=env,
-    )
+    result = run_python("-W", "error::RuntimeWarning", "-m", "spxkit", "superpixel",
+                        *flags, img_path, "-o", tmp_path / "x.mspt")
     assert result.returncode == code
     assert result.stderr.startswith(err_start)
     assert "Traceback" not in result.stderr
@@ -756,22 +727,13 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys, tmp_path):
 
 
 def test_reused_parser_answers_as_a_fresh_process(monkeypatch, capsys):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     from spxkit import cli
 
     # Help text wraps at the terminal width, so pin it on both sides.
     monkeypatch.setenv("COLUMNS", "80")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
 
     def fresh(argv):
-        result = subprocess.run([sys.executable, "-m", "spxkit", *argv],
-                                capture_output=True, text=True, env=env)
+        result = run_python("-m", "spxkit", *argv)
         return result.returncode, result.stdout, result.stderr
 
     bad = ["superpixel", "--lambda", "many", "in.ppm", "-o", "out.mspt"]

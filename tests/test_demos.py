@@ -1,11 +1,10 @@
 """Every demo script runs to completion from an empty working directory."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from _child import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,16 +16,5 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_python(demo, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr

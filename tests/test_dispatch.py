@@ -1,18 +1,25 @@
-"""Labels and outputs do not depend on numpy's SIMD dispatch level.
+"""Labels and outputs do not depend on what a machine picks at process start.
 
-numpy picks a SIMD code path for some ufuncs at import time (``np.exp``
-in the Quick Shift density, ``np.cbrt`` and ``np.power`` in the Lab
-conversion), and the paths may round differently. This test reruns a
-small fixed corpus in a child process with the AVX-512 group of numpy's
-dispatch targets disabled through ``NPY_DISABLE_CPU_FEATURES`` and
-compares the digests with this process. The Lab floats themselves may
-differ between the two; the corpus hashes only what spxkit returns to a
-user: label maps and message-passing outputs.
+Each row of ``ROWS`` reruns a small fixed corpus in a child process that
+changes one process-level setting, and compares the child's digests with
+this process's. The corpus hashes only what spxkit returns to a user:
+label maps and message-passing outputs.
 
-numpy also picks an OpenBLAS kernel for the CPU at load time, and the
-kernels may round a matrix product differently. spxkit calls no BLAS
-routine, so a second child with ``OPENBLAS_CORETYPE=Sandybridge`` must
-match this process on the corpus and on the Lab floats themselves.
+- numpy picks a SIMD code path for some ufuncs at import time (``np.exp``
+  in the Quick Shift density, ``np.cbrt`` and ``np.power`` in the Lab
+  conversion), and the paths may round differently. One child disables
+  the AVX-512 group of numpy's dispatch targets through
+  ``NPY_DISABLE_CPU_FEATURES``; its Lab floats may differ from this
+  process's.
+- numpy picks an OpenBLAS kernel for the CPU at load time, and the
+  kernels may round a matrix product differently. spxkit calls no BLAS
+  routine, so a child with ``OPENBLAS_CORETYPE=Sandybridge`` must match
+  this process on the Lab floats themselves too.
+- msgpass runs 2 or more jobs of at least ``_THREAD_MIN_PIXELS`` pixels
+  each on two threads when the process may use 2 or more CPUs. A child
+  started with ``--one-cpu`` pins itself to one CPU before it computes
+  the corpus, so on the corpus entries above the thread floor it takes
+  the one-thread paths where this process takes the two-thread ones.
 
 Run as a script, this file prints the child's JSON report.
 """
@@ -20,7 +27,6 @@ Run as a script, this file prints the child's JSON report.
 import hashlib
 import json
 import os
-import subprocess
 import sys
 import warnings
 
@@ -31,12 +37,21 @@ from spxkit import (
     MspConfig,
     QuickShiftParams,
     SlicParams,
+    cascade_apply,
     cascade_forward,
+    random_partition,
     refine_probabilities,
     slic_segment,
     srgb_to_lab,
 )
+from spxkit.msgpass import _THREAD_MIN_PIXELS, _usable_cpus
 from spxkit.quickshift import _segment_sigmas
+
+from _child import run_python
+
+# Image sides of the corpus entries above the thread floor: three SLIC
+# scales of a cascade, and eight channels of a map over three partitions.
+SLIC_SIDE, APPLY_SIDE = 256, 192
 
 
 def _cpu_features() -> tuple[dict, list]:
@@ -114,6 +129,18 @@ def corpus_digests() -> dict[str, str]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a scale may miss its block target
         out["refine/quickshift"] = _digest(refine_probabilities(probs, image, config))
+
+    image = _voronoi(11, SLIC_SIDE, 12, 4.0)
+    features = np.random.default_rng(12).standard_normal((4, 32, 32), dtype=np.float32)
+    msp, trace = cascade_forward(features, image, MspConfig(alpha=0.1, scales=(200, 300, 400)))
+    out["msp/slic256/output"] = _digest(msp)
+    for scale, part in trace.stages:
+        out[f"msp/slic256/scale{scale}"] = _digest(part.labels)
+
+    rng = np.random.default_rng(13)
+    partitions = [random_partition(APPLY_SIDE, APPLY_SIDE, k, rng) for k in (200, 300, 400)]
+    features = rng.standard_normal((8, APPLY_SIDE, APPLY_SIDE), dtype=np.float32)
+    out["apply/random192"] = _digest(cascade_apply(features, partitions, 0.1))
     return out
 
 
@@ -132,51 +159,71 @@ def numpy_blas() -> str | None:
     return str(config["Build Dependencies"]["blas"])
 
 
-def test_labels_do_not_depend_on_the_simd_dispatch_level():
-    group = avx512_group()
-    if not group:
-        pytest.skip("this CPU or numpy build has no AVX-512 dispatch target, "
-                    "so NPY_DISABLE_CPU_FEATURES would disable nothing")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(group))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
-                           capture_output=True, text=True, timeout=120)
+# One row per setting: the child's environment (over this process's) and
+# arguments, what the child must report about itself, and whether its Lab
+# floats must equal this process's too. A row skips, with the reason,
+# where this machine cannot express its setting.
+_AVX512, _BLAS = avx512_group(), numpy_blas()
+ROWS = [
+    pytest.param(
+        {"NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)}, [], {"enabled": []}, False,
+        id="avx512-off",
+        marks=pytest.mark.skipif(
+            not _AVX512,
+            reason="this CPU or numpy build has no AVX-512 dispatch target, "
+                   "so NPY_DISABLE_CPU_FEATURES would disable nothing"),
+    ),
+    pytest.param(
+        {"OPENBLAS_CORETYPE": "Sandybridge"}, [], {}, True, id="openblas-sandybridge",
+        marks=pytest.mark.skipif(
+            "openblas" not in str(_BLAS).lower(),
+            reason=f"numpy names no OpenBLAS ({_BLAS}), so OPENBLAS_CORETYPE "
+                   "would select nothing"),
+    ),
+    pytest.param(
+        {}, ["--one-cpu"], {"cpus": 1}, False, id="one-cpu",
+        marks=[
+            pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                               reason="this platform has no os.sched_setaffinity"),
+            pytest.mark.skipif(_usable_cpus() < 2,
+                               reason="this process may use only one CPU, so it "
+                                      "takes the one-thread paths itself"),
+        ],
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def want() -> dict[str, str]:
+    """This process's corpus digests, computed once for every row."""
+    return corpus_digests()
+
+
+@pytest.mark.parametrize("env, args, expect, lab", ROWS)
+def test_child_process_gives_the_same_digests(want, env, args, expect, lab):
+    child = run_python(__file__, *args, env=env, timeout=120)
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout)
-    assert report["enabled"] == [], f"{report['enabled']} still on in the child"
+    for key, value in expect.items():
+        assert report[key] == value, f"the child reports {key} {report[key]}, not {value}"
 
-    want = corpus_digests()
-    assert len(want) == 71
+    assert len(want) == 76
+    # Both entries above the floor run on two threads here, given 2 CPUs.
+    assert min(SLIC_SIDE, APPLY_SIDE) ** 2 >= _THREAD_MIN_PIXELS
     differ = sorted(k for k in want if report["digests"].get(k) != want[k])
-    assert not differ, f"these differ without AVX-512: {differ}"
-
-
-def test_outputs_and_lab_do_not_depend_on_the_openblas_kernel():
-    blas = numpy_blas()
-    if blas is None or "openblas" not in blas.lower():
-        pytest.skip(f"numpy names no OpenBLAS ({blas}), so OPENBLAS_CORETYPE "
-                    "would select nothing")
-    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
-                           capture_output=True, text=True, timeout=120)
-    assert child.returncode == 0, child.stderr
-    report = json.loads(child.stdout)
-
-    want = corpus_digests()
-    assert len(want) == 71
-    differ = sorted(k for k in want if report["digests"].get(k) != want[k])
-    assert not differ, f"these differ under the Sandybridge kernel: {differ}"
-    assert report["lab"] == lab_digest(), "the Lab floats differ under the Sandybridge kernel"
+    assert not differ, f"these differ in the child: {differ}"
+    if lab:
+        assert report["lab"] == lab_digest(), "the Lab floats differ in the child"
 
 
 if __name__ == "__main__":
+    if "--one-cpu" in sys.argv[1:]:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     features, _ = _cpu_features()
     disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
     print(json.dumps({
         "enabled": [name for name in disabled if features.get(name)],
+        "cpus": _usable_cpus(),
         "digests": corpus_digests(),
         "lab": lab_digest(),
     }))

@@ -9,9 +9,6 @@ loads scipy.ndimage.
 
 import functools
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +16,7 @@ import pytest
 
 from spxkit import write_mspt, write_ppm
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from _child import run_python
 
 # Runs one CLI call (or none) and prints the scipy modules it left loaded.
 PROBE = """
@@ -48,12 +45,7 @@ def files(tmp_path_factory):
 
 @functools.lru_cache(maxsize=None)
 def _probe(argv_json):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", PROBE, argv_json],
-        capture_output=True, text=True, env=env,
-    )
+    result = run_python("-c", PROBE, argv_json)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["rc"] == 0, result.stderr

@@ -15,6 +15,9 @@ from spxkit import FormatError, read_mspt, read_ppm, write_mspt
         (np.zeros((1, 1, 1, 1, 2), np.float32), "1- to 4-D tensors, got ndim 5"),
         (np.zeros(0, np.uint32), r"every dim must be >= 1, got \(0,\)"),
         (np.zeros((2, 0, 3), np.float32), r"every dim must be >= 1, got \(2, 0, 3\)"),
+        # A broadcast view: no memory behind its 2**32 rows.
+        (np.broadcast_to(np.float32(0), (2**32, 1)),
+         r"every dim must be < 2\*\*32, got \(4294967296, 1\)"),
     ],
 )
 def test_write_mspt_refuses_shapes_the_format_cannot_hold(tmp_path, tensor, message):
